@@ -15,7 +15,6 @@
 #include <limits>
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "asip/kernels.hpp"
 #include "bench_util.hpp"
@@ -170,23 +169,6 @@ holms::markov::Dtmc birth_death_chain(std::size_t n) {
   return d;
 }
 
-// Both sparsity modes now execute the same exec::simd CSR kernels (the
-// dense O(n^2) sweeps are gone); this tracks that the kDense request path
-// carries no residual overhead over an explicit kSparse request.
-void BM_StationarySparsity(benchmark::State& state) {
-  const auto d = birth_death_chain(static_cast<std::size_t>(state.range(1)));
-  holms::markov::SolveOptions opts;
-  opts.sparsity = state.range(0) != 0 ? holms::markov::SparsityMode::kSparse
-                                      : holms::markov::SparsityMode::kDense;
-  for (auto _ : state) {
-    auto r = d.steady_state(opts);
-    benchmark::DoNotOptimize(r.distribution.data());
-  }
-}
-BENCHMARK(BM_StationarySparsity)
-    ->ArgsProduct({{0, 1}, {128, 512, 1024}})
-    ->ArgNames({"sparse", "states"});
-
 void BM_JacksonSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<double> mus(n, 10.0);
@@ -256,12 +238,10 @@ double sa_moves_per_s(bool full) {
 }
 
 // Stationary solve wall time at n states (power iteration, birth-death).
-double stationary_seconds(std::size_t n, holms::markov::SparsityMode mode) {
+double stationary_seconds(std::size_t n) {
   const auto d = birth_death_chain(n);
-  holms::markov::SolveOptions opts;
-  opts.sparsity = mode;
   const auto t0 = std::chrono::steady_clock::now();
-  auto r = d.steady_state(opts);
+  auto r = d.steady_state();
   benchmark::DoNotOptimize(r.distribution.data());
   return seconds_since(t0);
 }
@@ -285,45 +265,6 @@ double sim_events_per_s() {
   const double dt = seconds_since(t0);
   benchmark::DoNotOptimize(count);
   return static_cast<double>(kEvents) / dt;
-}
-
-// Banded chain (band neighbors each side, forward drift): n=4096 with band 8
-// gives ~69k nonzeros — comfortably past the sharding floors.
-holms::markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
-  holms::markov::Dtmc d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = i > band ? i - band : 0;
-    const std::size_t hi = std::min(n - 1, i + band);
-    double off = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      if (j == i) continue;
-      const double side = j > i ? 0.3 : 0.2;
-      const std::size_t count = j > i ? hi - i : i - lo;
-      const double w = side / static_cast<double>(count);
-      d.set(i, j, w);
-      off += w;
-    }
-    d.set(i, i, 1.0 - off);
-  }
-  return d;
-}
-
-// Sharded sparse power iteration wall time at a fixed sweep count (the
-// tolerance is unreachable, so every thread count does identical work —
-// the solves are bitwise identical by design, only the wall time moves).
-double threaded_solve_seconds(const holms::markov::Dtmc& d,
-                              std::size_t threads) {
-  holms::markov::SolveOptions opts;
-  opts.sparsity = holms::markov::SparsityMode::kSparse;
-  opts.parallel_min_states = 256;
-  opts.parallel_min_nnz = 1024;
-  opts.threads = threads;
-  opts.max_iterations = 400;
-  opts.tolerance = 1e-300;  // never met: exactly 400 sweeps
-  const auto t0 = std::chrono::steady_clock::now();
-  auto r = d.steady_state(opts);
-  benchmark::DoNotOptimize(r.distribution.data());
-  return seconds_since(t0);
 }
 
 // SA move-mix ablation on the E4 configuration: moves/s and final mapping
@@ -415,7 +356,7 @@ void simd_kernel_metrics(holms::bench::BenchReport& report) {
   const simd::Kernels& best = simd::kernels_for(simd::best_isa());
 
   // Gather-form banded CSR, n=4096 with 8 neighbors each side (~69k
-  // nonzeros) — the same shape threaded_solve_metrics runs end to end.
+  // nonzeros).
   constexpr std::size_t kN = 4096, kBand = 8;
   holms::sim::Rng rng(9);
   holms::exec::aligned_vector<std::size_t> offsets(kN + 1, 0);
@@ -490,25 +431,6 @@ void simd_kernel_metrics(holms::bench::BenchReport& report) {
       best.name, spmv_speedup, delta_speedup);
 }
 
-void threaded_solve_metrics(holms::bench::BenchReport& report) {
-  const auto d = banded_chain(4096, 8);
-  benchmark::DoNotOptimize(threaded_solve_seconds(d, 1));  // warmup
-  const double t1 = threaded_solve_seconds(d, 1);
-  const double t2 = threaded_solve_seconds(d, 2);
-  const double t4 = threaded_solve_seconds(d, 4);
-  report.set("stationary_sparse_s_n4096_t1", t1);
-  report.set("stationary_sparse_s_n4096_t2", t2);
-  report.set("stationary_sparse_s_n4096_t4", t4);
-  report.set("solve_thread_speedup_n4096", t4 > 0.0 ? t1 / t4 : 0.0);
-  report.set("hw_threads",
-             static_cast<double>(std::thread::hardware_concurrency()));
-  std::printf(
-      "-- sharded solve n=4096: t1 %.3gs, t2 %.3gs, t4 %.3gs (4T %.2fx, "
-      "%u hw threads)\n",
-      t1, t2, t4, t4 > 0.0 ? t1 / t4 : 0.0,
-      std::thread::hardware_concurrency());
-}
-
 void headline_metrics(holms::bench::BenchReport& report) {
   const double full = sa_moves_per_s(true);
   const double inc = sa_moves_per_s(false);
@@ -518,11 +440,7 @@ void headline_metrics(holms::bench::BenchReport& report) {
   std::printf("-- SA moves/s: full %.3g, incremental %.3g (%.2fx)\n", full,
               inc, inc / full);
 
-  // Both sparsity modes run the same exec::simd CSR kernels now; only the
-  // CSR wall time is a headline.  BM_StationarySparsity still tracks the
-  // dense-request parity in the google-benchmark tables.
-  const double sparse =
-      stationary_seconds(512, holms::markov::SparsityMode::kSparse);
+  const double sparse = stationary_seconds(512);
   report.set("stationary_sparse_s_n512", sparse);
   std::printf("-- stationary n=512 (CSR): %.3gs\n", sparse);
 
@@ -531,7 +449,6 @@ void headline_metrics(holms::bench::BenchReport& report) {
   std::printf("-- simulator events/s: %.3g\n", events);
 
   simd_kernel_metrics(report);
-  threaded_solve_metrics(report);
   sa_move_mix_metrics(report);
 }
 

@@ -13,12 +13,12 @@ stale_suppressions at zero).  Exits non-zero listing all violations.
 
 A section may also carry a "min_if" list of conditional gates:
 
-    {"key": "solve_thread_speedup_n4096", "floor": 2.0,
-     "requires": "hw_threads", "at_least": 4}
+    {"key": "spmv_simd_speedup", "floor": 1.8,
+     "requires": "simd_avx2", "at_least": 1}
 
 enforces report[key] >= floor only when report[requires] >= at_least —
-machine-dependent floors (threaded speedups) skip gracefully on starved
-runners instead of failing on hardware the gate cannot measure.
+machine-dependent floors (SIMD speedups) skip gracefully on hosts without
+the hardware the gate measures instead of failing there.
 
 --append-history appends one JSON line per run (report name, UTC timestamp,
 every numeric top-level field) to bench/history.jsonl, building the
@@ -47,7 +47,6 @@ HEADLINE_KEYS = {
         "sa_speedup_vs_full",
         "spmv_simd_speedup",
         "sa_delta_simd_speedup",
-        "solve_thread_speedup_n4096",
         "wall_time_s",
     ],
     "fault": [

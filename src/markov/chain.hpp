@@ -17,20 +17,17 @@
 // derived" — see `expected_reward`.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
 
 #include "exec/error.hpp"
 
-namespace holms::exec {
-class ThreadPool;
-}  // namespace holms::exec
-
 namespace holms::markov {
 
-/// Dense row-major matrix; small helper sufficient for chain analysis
-/// (state spaces here are 10^2..10^4).
+/// Dense row-major matrix: working storage of the direct solvers (kDirectLU,
+/// absorbing_analysis) and the shape of absorption-probability results.
 class Matrix {
  public:
   Matrix() = default;
@@ -48,37 +45,37 @@ class Matrix {
   std::vector<double> data_;
 };
 
-enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU };
+/// One stored entry of a SparseRows row.
+struct SparseEntry {
+  std::uint32_t col = 0;
+  double value = 0.0;
+};
 
-/// Matrix representation for the iterative solvers.  kAuto picks CSR when the
-/// chain is both large and sparse (see sparse_min_states / sparse_max_density)
-/// — the sparse kernels produce bitwise-identical iterates, so this is purely
-/// a speed decision.  kDirectLU always runs dense.
-enum class SparsityMode { kAuto, kDense, kSparse };
+/// Square sparse matrix kept row by row, each row sorted by ascending column:
+/// the storage behind Dtmc and Ctmc.  Only nonzeros are stored — set()
+/// overwrites an existing entry (last write wins) and setting 0 removes it;
+/// get() reads an absent entry as 0.  Walking a row visits its nonzeros in
+/// the order a dense row-major scan would, so row sums keep their bits.
+class SparseRows {
+ public:
+  explicit SparseRows(std::size_t n) : rows_(n) {}
+
+  std::size_t size() const { return rows_.size(); }
+  void set(std::size_t r, std::size_t c, double v);
+  double get(std::size_t r, std::size_t c) const;
+  std::span<const SparseEntry> row(std::size_t r) const { return rows_[r]; }
+  std::size_t nnz() const;
+
+ private:
+  std::vector<std::vector<SparseEntry>> rows_;
+};
+
+enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU };
 
 struct SolveOptions {
   SteadyStateMethod method = SteadyStateMethod::kPowerIteration;
   std::size_t max_iterations = 200000;
   double tolerance = 1e-12;  // L1 change per sweep
-  SparsityMode sparsity = SparsityMode::kAuto;
-  /// kAuto thresholds: go sparse when size >= sparse_min_states AND the
-  /// nonzero density is <= sparse_max_density.  Below ~64 states the dense
-  /// sweep fits in cache and the CSR indirection isn't worth building.
-  std::size_t sparse_min_states = 64;
-  double sparse_max_density = 0.25;
-
-  /// Parallel sharding of the CSR kernels (DESIGN.md §5g).  The sharded
-  /// fixed-grid kernels engage whenever n >= parallel_min_states AND
-  /// nnz >= parallel_min_nnz — *independent of the thread count* — so the
-  /// iterate sequence is a function of the problem alone and solves are
-  /// bitwise identical across 1/2/4/7/... threads.  `threads` follows the
-  /// explorer convention (0 = hardware concurrency, 1 = run the shard loop
-  /// inline); `pool` lets callers amortize worker startup across many
-  /// solves and overrides `threads` when set (not owned).
-  std::size_t threads = 1;
-  exec::ThreadPool* pool = nullptr;
-  std::size_t parallel_min_states = 1024;
-  std::size_t parallel_min_nnz = 4096;
 
   /// Rejects nonsensical solver settings; called by the steady_state /
   /// transient entry points (contract rule C001, DESIGN.md §5f).
@@ -89,10 +86,6 @@ struct SolveOptions {
     if (!(tolerance > 0.0)) {
       throw holms::InvalidArgument("SolveOptions: tolerance must be > 0");
     }
-    if (!(sparse_max_density >= 0.0 && sparse_max_density <= 1.0)) {
-      throw holms::InvalidArgument(
-          "SolveOptions: sparse_max_density must be in [0, 1]");
-    }
   }
 };
 
@@ -100,18 +93,17 @@ struct SolveResult {
   std::vector<double> distribution;  // stationary probabilities, sums to 1
   std::size_t iterations = 0;        // 0 for direct methods
   bool converged = false;
-  bool used_sparse = false;          // solved via the CSR kernels
 };
 
 /// Discrete-time Markov chain over states 0..n-1 with row-stochastic
-/// transition matrix P.
+/// transition matrix P, stored sparse (O(nnz) memory and per-sweep work).
 class Dtmc {
  public:
-  explicit Dtmc(std::size_t n) : p_(n, n) {}
+  explicit Dtmc(std::size_t n) : p_(n) {}
 
-  std::size_t size() const { return p_.rows(); }
+  std::size_t size() const { return p_.size(); }
   void set(std::size_t from, std::size_t to, double prob);
-  double get(std::size_t from, std::size_t to) const { return p_.at(from, to); }
+  double get(std::size_t from, std::size_t to) const { return p_.get(from, to); }
 
   /// Validates that every row sums to 1 within `tol`.
   bool is_stochastic(double tol = 1e-9) const;
@@ -124,19 +116,19 @@ class Dtmc {
                                 std::size_t steps) const;
 
  private:
-  Matrix p_;
+  SparseRows p_;
 };
 
 /// Continuous-time Markov chain with generator matrix Q (off-diagonal rates;
-/// diagonal maintained automatically as -(row sum)).
+/// diagonal maintained automatically as -(row sum)), stored sparse.
 class Ctmc {
  public:
-  explicit Ctmc(std::size_t n) : q_(n, n) {}
+  explicit Ctmc(std::size_t n) : q_(n) {}
 
-  std::size_t size() const { return q_.rows(); }
+  std::size_t size() const { return q_.size(); }
   /// Sets the transition rate from -> to (from != to, rate >= 0).
   void set_rate(std::size_t from, std::size_t to, double rate);
-  double rate(std::size_t from, std::size_t to) const { return q_.at(from, to); }
+  double rate(std::size_t from, std::size_t to) const { return q_.get(from, to); }
   /// Total exit rate of a state.
   double exit_rate(std::size_t s) const;
 
@@ -151,7 +143,7 @@ class Ctmc {
   Dtmc uniformized(double* lambda_out = nullptr) const;
 
  private:
-  Matrix q_;
+  SparseRows q_;
 };
 
 /// Expected reward sum_i pi_i * reward(i): the paper's bridge from the

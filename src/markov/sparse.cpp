@@ -1,14 +1,7 @@
 #include "markov/sparse.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <memory>
-#include <stdexcept>
-
 #include "exec/error.hpp"
-#include "exec/metrics.hpp"
 #include "exec/simd.hpp"
-#include "exec/thread_pool.hpp"
 
 namespace holms::markov {
 namespace {
@@ -27,58 +20,25 @@ double l1_delta(std::span<const double> a, std::span<const double> b) {
   return exec::simd::kernels().sum_abs_diff(a.data(), b.data(), a.size());
 }
 
-// Fixed shard grid for the parallel kernels (DESIGN.md §5g): always 256
-// columns per shard, *independent of the thread count*, so the work
-// decomposition — and therefore every floating-point accumulation order —
-// is a function of the problem size alone.  Workers claim whole shards from
-// the pool's atomic index counter and write only their own output columns.
-constexpr std::size_t kShardCols = 256;
-
-std::size_t shard_count(std::size_t n) {
-  return (n + kShardCols - 1) / kShardCols;
-}
-
-// Resolves the pool to run a sharded solve on: the caller's external pool if
-// set, else a solve-local pool when `opts.threads` asks for more than one
-// thread, else null (parallel_for_each runs the shard loop inline).
-exec::ThreadPool* resolve_pool(const SolveOptions& opts,
-                               std::unique_ptr<exec::ThreadPool>& owned) {
-  if (opts.pool != nullptr) return opts.pool;
-  const std::size_t t = exec::resolve_threads(opts.threads);
-  if (t <= 1) return nullptr;
-  owned = std::make_unique<exec::ThreadPool>(t);
-  return owned.get();
-}
-
 }  // namespace
 
-CsrMatrix CsrMatrix::from_dense(const Matrix& a) {
+CsrMatrix CsrMatrix::from_rows(const SparseRows& a) {
   CsrMatrix m;
-  m.rows_ = a.rows();
-  m.cols_ = a.cols();
+  m.rows_ = a.size();
+  m.cols_ = a.size();
+  const std::size_t nnz = a.nnz();
   m.offsets_.reserve(m.rows_ + 1);
   m.offsets_.push_back(0);
-  std::size_t nnz = 0;
-  for (std::size_t r = 0; r < m.rows_; ++r)
-    for (std::size_t c = 0; c < m.cols_; ++c)
-      if (a.at(r, c) != 0.0) ++nnz;
   m.cols_idx_.reserve(nnz);
   m.vals_.reserve(nnz);
   for (std::size_t r = 0; r < m.rows_; ++r) {
-    for (std::size_t c = 0; c < m.cols_; ++c) {
-      const double v = a.at(r, c);
-      if (v == 0.0) continue;
-      m.cols_idx_.push_back(static_cast<std::uint32_t>(c));
-      m.vals_.push_back(v);
+    for (const SparseEntry& e : a.row(r)) {
+      m.cols_idx_.push_back(e.col);
+      m.vals_.push_back(e.value);
     }
     m.offsets_.push_back(m.vals_.size());
   }
   return m;
-}
-
-double CsrMatrix::density() const {
-  const double cells = static_cast<double>(rows_) * static_cast<double>(cols_);
-  return cells > 0.0 ? static_cast<double>(nnz()) / cells : 0.0;
 }
 
 CsrMatrix CsrMatrix::transposed() const {
@@ -111,37 +71,20 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
                                    const SolveOptions& opts) {
   const std::size_t n = p.rows();
   SolveResult res;
-  res.used_sparse = true;
   if (n == 0) return res;
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(n, 0.0);
 
   // Gather form on the transpose: next[c] = sum_r pi[r] * P[r, c], one
-  // exec::simd 8-lane reduction per column in ascending source-row order.
-  // Serial and sharded execution run the identical per-column kernel — a
-  // shard is just a [lo, hi) column range and no shard reads another's
-  // output — so the iterate sequence is a function of the problem alone:
-  // bitwise invariant to the thread count, the shard grid, and the ISA.
+  // exec::simd 8-lane reduction per column in ascending source-row order —
+  // the iterate sequence is a function of the problem alone, bitwise
+  // invariant to the ISA.
   const auto& k = exec::simd::kernels();
   const CsrMatrix pt = p.transposed();
-  const bool sharded = sharded_solve_engaged(n, p.nnz(), opts);
-  std::unique_ptr<exec::ThreadPool> owned;
-  exec::ThreadPool* pool = sharded ? resolve_pool(opts, owned) : nullptr;
-  const std::size_t shards = shard_count(n);
-  if (sharded) exec::count("markov.sharded_solves");
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
-    if (sharded) {
-      exec::parallel_for_each(pool, shards, [&](std::size_t s) {
-        const std::size_t lo = s * kShardCols;
-        const std::size_t hi = std::min(n, lo + kShardCols);
-        k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
-                    pi.data(), next.data(), lo, hi);
-      });
-    } else {
-      k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), pi.data(),
-                  next.data(), 0, n);
-    }
-    const double delta = l1_delta(pi, next);  // serial, fixed order
+    k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), pi.data(),
+                next.data(), 0, n);
+    const double delta = l1_delta(pi, next);
     pi.swap(next);
     res.iterations = it + 1;
     if (delta < opts.tolerance) {
@@ -157,7 +100,6 @@ SolveResult sparse_power_iteration(const CsrMatrix& p,
 SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   const std::size_t n = p.rows();
   SolveResult res;
-  res.used_sparse = true;
   if (n == 0) return res;
   // Column sweeps need column access: work on the transpose, with the
   // diagonal split out (the sweep skips r == c and divides by 1 - p_cc).
@@ -173,38 +115,15 @@ SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   std::vector<double> pi(n, 1.0 / static_cast<double>(n));
   std::vector<double> next(n, 0.0);
 
-  // Block-hybrid sweep (DESIGN.md §5g): Gauss–Seidel within each fixed
-  // 256-column shard, Jacobi across shards.  `next` starts as a copy of pi,
-  // each shard updates only its own columns in ascending order, and a column
-  // reads `next` for in-shard sources (already-updated values below it,
-  // prior-sweep values above — exactly serial GS restricted to the shard)
-  // and the prior-sweep `pi` for out-of-shard sources.  No shard ever reads
-  // another shard's output, so the sweep is race-free and its result depends
-  // only on the fixed grid — bitwise invariant to thread count.  Below the
-  // engagement floors the sweep is ONE full-range gs_cols call, where the
-  // out-of-shard segments are empty and the kernel reduces to serial GS —
-  // a *different* (still convergent) iterate sequence than the hybrid,
-  // which is why engagement is gated on size floors rather than on threads.
+  // Serial Gauss–Seidel: `next` starts as a copy of pi and each column,
+  // updated in ascending order, reads the already-updated values below it
+  // and the prior-sweep values above it.
   const auto& k = exec::simd::kernels();
-  const bool sharded = sharded_solve_engaged(n, p.nnz(), opts);
-  std::unique_ptr<exec::ThreadPool> owned;
-  exec::ThreadPool* pool = sharded ? resolve_pool(opts, owned) : nullptr;
-  const std::size_t shards = shard_count(n);
-  if (sharded) exec::count("markov.sharded_solves");
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     next = pi;
-    if (sharded) {
-      exec::parallel_for_each(pool, shards, [&](std::size_t s) {
-        const std::size_t lo = s * kShardCols;
-        const std::size_t hi = std::min(n, lo + kShardCols);
-        k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(),
-                  diag.data(), pi.data(), next.data(), lo, hi);
-      });
-    } else {
-      k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), diag.data(),
-                pi.data(), next.data(), 0, n);
-    }
-    normalize(next);  // serial, fixed order
+    k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), diag.data(),
+              pi.data(), next.data(), 0, n);
+    normalize(next);
     const double delta = l1_delta(pi, next);
     pi.swap(next);
     res.iterations = it + 1;

@@ -4,14 +4,11 @@
 // Queueing-network generator matrices are overwhelmingly sparse — a
 // birth-death chain has O(n) nonzeros in an n x n matrix, and even the
 // Jackson-network product-form chains touch only a handful of neighbors per
-// state.  These CSR kernels are O(nnz) per sweep, SIMD-vectorized through
-// exec::simd (fixed 8-lane reduction order, bitwise identical across
-// HOLMS_SIMD=off/avx2/neon — see exec/simd.hpp), and since this PR they are
-// the ONLY iterative engine: Dtmc::steady_state builds a CsrMatrix for the
-// dense representation too, so kDense and kSparse produce bitwise identical
-// results by construction (`used_sparse` still reports which representation
-// the heuristic picked).  These entry points are public for tests and
-// benchmarks that want to pin one representation.
+// state.  Dtmc/Ctmc store only their nonzeros (SparseRows), and these CSR
+// kernels are the iterative engine behind Dtmc::steady_state: O(nnz) per
+// sweep, SIMD-vectorized through exec::simd (fixed 8-lane reduction order,
+// bitwise identical across HOLMS_SIMD=off/avx2/neon — see exec/simd.hpp).
+// The entry points are public for tests and benchmarks.
 
 #include <cstdint>
 #include <span>
@@ -23,20 +20,19 @@
 namespace holms::markov {
 
 /// Compressed-sparse-row matrix over double.  Entries within a row are stored
-/// in increasing column order (from_dense scans row-major), which is what the
-/// bitwise-equivalence argument above relies on.
+/// in increasing column order, so every per-row reduction sums in the order
+/// a dense row-major scan would.
 class CsrMatrix {
  public:
   CsrMatrix() = default;
 
-  /// Drops exact zeros; keeps everything else.
-  static CsrMatrix from_dense(const Matrix& a);
+  /// Copies a row store in O(nnz); SparseRows holds no zeros, so neither
+  /// does the result.
+  static CsrMatrix from_rows(const SparseRows& a);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return vals_.size(); }
-  /// nnz / (rows * cols); 0 for an empty matrix.
-  double density() const;
 
   std::span<const std::uint32_t> row_cols(std::size_t r) const {
     return {cols_idx_.data() + offsets_[r], cols_idx_.data() + offsets_[r + 1]};
@@ -65,33 +61,16 @@ class CsrMatrix {
   exec::aligned_vector<double> vals_;
 };
 
-/// True when `opts` engages the fixed-grid sharded kernels for a matrix of
-/// this size (DESIGN.md §5g).  Deliberately independent of `opts.threads` /
-/// `opts.pool`: the kernel choice is a function of the problem, so every
-/// thread count runs the identical algorithm and solves stay bitwise
-/// invariant to parallelism.  Exposed for tests and benchmarks.
-inline bool sharded_solve_engaged(std::size_t n, std::size_t nnz,
-                                  const SolveOptions& opts) {
-  return n >= opts.parallel_min_states && nnz >= opts.parallel_min_nnz;
-}
-
 /// Power iteration pi <- pi P on a row-stochastic CSR matrix, gather form:
 /// next[c] = sum_r pi[r] * P[r, c] over the transpose, each column an
-/// exec::simd 8-lane reduction in ascending source-row order.  Serial and
-/// sharded execution run the identical per-column kernel (a shard is just a
-/// [lo, hi) column range), so engaging the parallel path — or changing the
-/// thread count, or the ISA — never changes a bit.
+/// exec::simd 8-lane reduction in ascending source-row order, so the ISA
+/// never changes a bit.
 SolveResult sparse_power_iteration(const CsrMatrix& p,
                                    const SolveOptions& opts);
 
 /// Gauss–Seidel on pi = pi P, sweeping columns in place (needs the transpose;
-/// built internally once).  Below the parallel floors the sweep is one
-/// full-range exec::simd gs_cols call — serial Gauss–Seidel with 8-lane
-/// segment reductions.  At or above them it switches to the block-hybrid
-/// sweep (Gauss–Seidel within each fixed 256-column shard, Jacobi across
-/// shards — DESIGN.md §5g): a *different but deterministic* iterate sequence
-/// that converges to the same stationary distribution and is bitwise
-/// invariant to thread count because the shard grid never moves.
+/// built internally once).  Each sweep is one full-range exec::simd gs_cols
+/// call: serial Gauss–Seidel with 8-lane segment reductions.
 SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts);
 
 }  // namespace holms::markov

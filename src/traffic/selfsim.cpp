@@ -31,6 +31,11 @@ std::vector<double> fgn_hosking(std::size_t n, double h, sim::Rng& rng) {
   out.reserve(n);
   if (n == 0) return out;
 
+  // Autocovariance at every lag the recursion reads, computed once: the
+  // O(n^2) inner loop below would otherwise pay three std::pow per term.
+  std::vector<double> gamma(n);
+  for (std::size_t k = 0; k < n; ++k) gamma[k] = fgn_autocovariance(h, k);
+
   // Hosking's recursion maintains the partial linear-prediction coefficients
   // phi and the innovation variance v.
   std::vector<double> phi;     // current AR coefficients
@@ -40,9 +45,8 @@ std::vector<double> fgn_hosking(std::size_t n, double h, sim::Rng& rng) {
   for (std::size_t i = 1; i < n; ++i) {
     const std::size_t m = phi.size();  // == i - 1
     // Reflection coefficient.
-    double num = fgn_autocovariance(h, i);
-    for (std::size_t j = 0; j < m; ++j)
-      num -= phi[j] * fgn_autocovariance(h, i - 1 - j);
+    double num = gamma[i];
+    for (std::size_t j = 0; j < m; ++j) num -= phi[j] * gamma[i - 1 - j];
     const double kappa = num / v;
     phi_new.assign(m + 1, 0.0);
     phi_new[m] = kappa;

@@ -1,8 +1,8 @@
 // Equivalence suites for the hot-path kernels: the incremental SA move
-// evaluator (swap / 2-opt / cluster moves) vs full re-evaluation, the CSR
-// stationary solvers vs their dense counterparts — bitwise identical across
-// thread counts (PR 5) — and the slab/small-buffer event pool plus its
-// cross-candidate EventPoolCache recycling.
+// evaluator (swap / 2-opt / cluster moves) vs full re-evaluation, explore()
+// bitwise identical across thread counts, the CSR matrix layout, and the
+// slab/small-buffer event pool plus its cross-candidate EventPoolCache
+// recycling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -294,192 +294,9 @@ TEST(SaMapping, DebugFullEvalReachesSameQuality) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse stationary solvers.
+// Thread-count invariance: explore() must be a function of the problem alone,
+// never of the worker count.
 // ---------------------------------------------------------------------------
-
-markov::Dtmc birth_death_chain(std::size_t n) {
-  markov::Dtmc d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double stay = 0.2;
-    if (i + 1 < n) d.set(i, i + 1, 0.5); else stay += 0.5;
-    if (i > 0) d.set(i, i - 1, 0.3); else stay += 0.3;
-    d.set(i, i, stay);
-  }
-  return d;
-}
-
-TEST(SparseSolve, MatchesDenseBitwise) {
-  const markov::Dtmc d = birth_death_chain(128);
-  for (const auto method : {markov::SteadyStateMethod::kPowerIteration,
-                            markov::SteadyStateMethod::kGaussSeidel}) {
-    markov::SolveOptions dense;
-    dense.method = method;
-    dense.sparsity = markov::SparsityMode::kDense;
-    markov::SolveOptions sparse = dense;
-    sparse.sparsity = markov::SparsityMode::kSparse;
-    const auto rd = d.steady_state(dense);
-    const auto rs = d.steady_state(sparse);
-    ASSERT_TRUE(rd.converged);
-    ASSERT_TRUE(rs.converged);
-    EXPECT_FALSE(rd.used_sparse);
-    EXPECT_TRUE(rs.used_sparse);
-    // Identical iterate sequence => identical iteration count, and the
-    // distributions agree far below the 1e-10 requirement (bitwise).
-    EXPECT_EQ(rd.iterations, rs.iterations);
-    ASSERT_EQ(rd.distribution.size(), rs.distribution.size());
-    for (std::size_t i = 0; i < rd.distribution.size(); ++i) {
-      EXPECT_NEAR(rd.distribution[i], rs.distribution[i], 1e-10);
-      EXPECT_EQ(rd.distribution[i], rs.distribution[i]) << "state " << i;
-    }
-  }
-}
-
-TEST(SparseSolve, CtmcRoutesThroughSparseAutomatically) {
-  const std::size_t n = 96;
-  markov::Ctmc q(n);
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    q.set_rate(i, i + 1, 3.0);
-    q.set_rate(i + 1, i, 4.0);
-  }
-  markov::SolveOptions opts;  // kAuto
-  const auto r = q.steady_state(opts);
-  ASSERT_TRUE(r.converged);
-  EXPECT_TRUE(r.used_sparse);  // n >= 64 and tridiagonal density << 0.25
-  // Verify against the direct dense solve.
-  markov::SolveOptions lu;
-  lu.method = markov::SteadyStateMethod::kDirectLU;
-  const auto exact = q.steady_state(lu);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(r.distribution[i], exact.distribution[i], 1e-8);
-  }
-}
-
-TEST(SparseSolve, AutoStaysDenseWhenSmallOrDense) {
-  // Small chain: below sparse_min_states.
-  const auto small = birth_death_chain(16).steady_state({});
-  EXPECT_FALSE(small.used_sparse);
-  // Large but dense chain: uniform transitions have density 1.
-  const std::size_t n = 96;
-  markov::Dtmc dense(n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c)
-      dense.set(r, c, 1.0 / static_cast<double>(n));
-  const auto rd = dense.steady_state({});
-  EXPECT_FALSE(rd.used_sparse);
-  EXPECT_TRUE(rd.converged);
-}
-
-// ---------------------------------------------------------------------------
-// Thread-count invariance (PR 5): the sharded solvers and explore() must be
-// a function of the problem alone, never of the worker count.
-// ---------------------------------------------------------------------------
-
-// Banded chain: each state talks to its `band` neighbors on each side, so
-// nnz ~ n * (2*band + 1) — big and sparse enough to clear the sharding
-// floors without being trivial.  Forward drift (0.3 up vs 0.2 down) keeps
-// the spectral gap bounded away from 1 so the iterative solvers converge.
-markov::Dtmc banded_chain(std::size_t n, std::size_t band) {
-  markov::Dtmc d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = i > band ? i - band : 0;
-    const std::size_t hi = std::min(n - 1, i + band);
-    double off = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) {
-      if (j == i) continue;
-      const double side = j > i ? 0.3 : 0.2;
-      const std::size_t count = j > i ? hi - i : i - lo;
-      const double w = side / static_cast<double>(count);
-      d.set(i, j, w);
-      off += w;
-    }
-    d.set(i, i, 1.0 - off);
-  }
-  return d;
-}
-
-TEST(ThreadInvariance, SparseSolvesBitwiseAcrossThreadCounts) {
-  const std::size_t n = 1500;
-  const markov::Dtmc d = banded_chain(n, 4);
-  for (const auto method : {markov::SteadyStateMethod::kPowerIteration,
-                            markov::SteadyStateMethod::kGaussSeidel}) {
-    markov::SolveOptions opts;
-    opts.method = method;
-    opts.sparsity = markov::SparsityMode::kSparse;
-    opts.parallel_min_states = 256;
-    opts.parallel_min_nnz = 1024;
-    opts.max_iterations = 3000;
-
-    opts.threads = 1;
-    const auto base = d.steady_state(opts);
-    ASSERT_TRUE(base.used_sparse);
-    // env_threads folds the CI HOLMS_THREADS matrix into the sweep, so the
-    // two ctest runs exercise different pool sizes against the same oracle.
-    for (const std::size_t t :
-         {std::size_t{2}, std::size_t{4}, std::size_t{7},
-          holms::exec::env_threads(2)}) {
-      opts.threads = t;
-      const auto r = d.steady_state(opts);
-      EXPECT_EQ(base.iterations, r.iterations);
-      EXPECT_EQ(base.converged, r.converged);
-      ASSERT_EQ(base.distribution.size(), r.distribution.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(base.distribution[i], r.distribution[i])
-            << "threads=" << t << " state " << i;
-      }
-    }
-    // A caller-owned shared pool must give the same bits as owned workers.
-    holms::exec::ThreadPool pool(3);
-    opts.pool = &pool;
-    const auto rp = d.steady_state(opts);
-    EXPECT_EQ(base.iterations, rp.iterations);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(base.distribution[i], rp.distribution[i]) << "state " << i;
-    }
-  }
-}
-
-TEST(ThreadInvariance, ShardedPowerIterationMatchesSerialScatterBitwise) {
-  // The gather-form sharded kernel reproduces the serial scatter per-column
-  // accumulation order exactly — engaging the shards must not change a bit.
-  const markov::Dtmc d = banded_chain(1500, 4);
-  markov::SolveOptions serial;
-  serial.sparsity = markov::SparsityMode::kSparse;
-  serial.max_iterations = 2000;
-  serial.parallel_min_states = static_cast<std::size_t>(1) << 30;  // off
-  markov::SolveOptions sharded = serial;
-  sharded.parallel_min_states = 256;
-  sharded.parallel_min_nnz = 1024;
-  sharded.threads = 4;
-  const auto a = d.steady_state(serial);
-  const auto b = d.steady_state(sharded);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.converged, b.converged);
-  ASSERT_EQ(a.distribution.size(), b.distribution.size());
-  for (std::size_t i = 0; i < a.distribution.size(); ++i) {
-    ASSERT_EQ(a.distribution[i], b.distribution[i]) << "state " << i;
-  }
-}
-
-TEST(ThreadInvariance, HybridGaussSeidelConvergesToSerialFixpoint) {
-  // The block-hybrid GS takes a different (but deterministic) iterate path
-  // than serial GS; both must land on the same stationary distribution.
-  const markov::Dtmc d = banded_chain(1500, 4);
-  markov::SolveOptions serial;
-  serial.method = markov::SteadyStateMethod::kGaussSeidel;
-  serial.sparsity = markov::SparsityMode::kSparse;
-  serial.parallel_min_states = static_cast<std::size_t>(1) << 30;  // off
-  markov::SolveOptions hybrid = serial;
-  hybrid.parallel_min_states = 256;
-  hybrid.parallel_min_nnz = 1024;
-  hybrid.threads = 4;
-  const auto a = d.steady_state(serial);
-  const auto b = d.steady_state(hybrid);
-  ASSERT_TRUE(a.converged);
-  ASSERT_TRUE(b.converged);
-  for (std::size_t i = 0; i < a.distribution.size(); ++i) {
-    EXPECT_NEAR(a.distribution[i], b.distribution[i], 1e-8) << "state " << i;
-  }
-}
 
 TEST(ThreadInvariance, ExploreBitwiseAcrossThreadCounts) {
   core::Application app;
@@ -512,27 +329,26 @@ TEST(ThreadInvariance, ExploreBitwiseAcrossThreadCounts) {
 }
 
 TEST(CsrMatrix, TransposeRoundTrip) {
-  markov::Matrix a(3, 4);
-  a.at(0, 1) = 2.0;
-  a.at(1, 0) = -1.5;
-  a.at(1, 3) = 4.0;
-  a.at(2, 2) = 7.0;
-  const auto csr = markov::CsrMatrix::from_dense(a);
+  markov::SparseRows a(4);
+  a.set(1, 3, 4.0);
+  a.set(0, 1, 2.0);
+  a.set(2, 2, 7.0);
+  a.set(1, 0, -1.5);
+  const auto csr = markov::CsrMatrix::from_rows(a);
   EXPECT_EQ(csr.nnz(), 4u);
-  EXPECT_NEAR(csr.density(), 4.0 / 12.0, 1e-15);
   const auto t = csr.transposed();
   EXPECT_EQ(t.rows(), 4u);
-  EXPECT_EQ(t.cols(), 3u);
+  EXPECT_EQ(t.cols(), 4u);
   const auto tt = t.transposed();
-  for (std::size_t r = 0; r < 3; ++r) {
+  for (std::size_t r = 0; r < 4; ++r) {
     const auto cols = tt.row_cols(r);
     const auto vals = tt.row_vals(r);
     std::size_t k = 0;
     for (std::size_t c = 0; c < 4; ++c) {
-      if (a.at(r, c) == 0.0) continue;
+      if (a.get(r, c) == 0.0) continue;
       ASSERT_LT(k, cols.size());
       EXPECT_EQ(cols[k], c);
-      EXPECT_EQ(vals[k], a.at(r, c));
+      EXPECT_EQ(vals[k], a.get(r, c));
       ++k;
     }
     EXPECT_EQ(k, cols.size());

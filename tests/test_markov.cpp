@@ -1,11 +1,17 @@
 // Unit tests for the analytical engine (holms::markov) — paper §2.2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <utility>
 
 #include "markov/chain.hpp"
 #include "markov/jackson.hpp"
 #include "markov/queueing.hpp"
+#include "markov/sparse.hpp"
 
 namespace {
 
@@ -144,6 +150,68 @@ TEST(ExpectedReward, ComputesWeightedSum) {
   const double r = holms::markov::expected_reward(
       pi, [](std::size_t i) { return i == 0 ? 4.0 : 8.0; });
   EXPECT_DOUBLE_EQ(r, 7.0);
+}
+
+// ---------- sparse storage ----------
+
+TEST(SparseRows, OverwriteWins) {
+  holms::markov::SparseRows m(3);
+  m.set(1, 2, 0.25);
+  m.set(1, 2, 0.75);
+  EXPECT_EQ(m.get(1, 2), 0.75);
+  EXPECT_EQ(m.nnz(), 1u);
+}
+
+TEST(SparseRows, ExplicitZeroIsDropped) {
+  holms::markov::SparseRows m(3);
+  m.set(0, 1, 0.5);
+  m.set(0, 1, 0.0);  // removes the stored entry
+  m.set(2, 0, 0.0);  // never stored
+  EXPECT_EQ(m.nnz(), 0u);
+  EXPECT_EQ(m.get(0, 1), 0.0);
+  EXPECT_EQ(holms::markov::CsrMatrix::from_rows(m).nnz(), 0u);
+}
+
+TEST(SparseRows, RejectsOutOfRangeIndex) {
+  holms::markov::SparseRows m(3);
+  EXPECT_THROW(m.set(3, 0, 1.0), std::out_of_range);
+  EXPECT_THROW(m.set(0, 3, 1.0), std::out_of_range);
+  EXPECT_THROW(m.get(3, 0), std::out_of_range);
+  Dtmc d(2);
+  EXPECT_THROW(d.set(0, 2, 0.5), std::out_of_range);
+}
+
+TEST(SparseRows, AbsentEntryReadsZero) {
+  Dtmc d(4);
+  d.set(1, 3, 0.5);
+  EXPECT_EQ(d.get(1, 3), 0.5);
+  EXPECT_EQ(d.get(1, 2), 0.0);
+  EXPECT_EQ(d.get(3, 1), 0.0);
+  Ctmc c(3);
+  c.set_rate(2, 0, 1.5);
+  EXPECT_EQ(c.rate(2, 0), 1.5);
+  EXPECT_EQ(c.rate(0, 2), 0.0);
+}
+
+TEST(SparseRows, OutOfOrderSetsYieldAscendingCsrColumns) {
+  holms::markov::SparseRows m(6);
+  for (const std::size_t c : {4u, 1u, 5u, 0u, 3u}) {
+    m.set(2, c, 0.1 * static_cast<double>(c + 1));
+  }
+  m.set(0, 5, 1.0);
+  m.set(0, 2, 2.0);
+  const auto csr = holms::markov::CsrMatrix::from_rows(m);
+  ASSERT_EQ(csr.nnz(), 7u);
+  const auto cols = csr.row_cols(2);
+  const std::vector<std::uint32_t> want{0, 1, 3, 4, 5};
+  ASSERT_EQ(std::vector<std::uint32_t>(cols.begin(), cols.end()), want);
+  for (std::size_t i = 0; i < cols.size(); ++i) {
+    EXPECT_EQ(csr.row_vals(2)[i], 0.1 * static_cast<double>(cols[i] + 1));
+  }
+  const auto row0 = csr.row_cols(0);
+  ASSERT_EQ(row0.size(), 2u);
+  EXPECT_EQ(row0[0], 2u);
+  EXPECT_EQ(row0[1], 5u);
 }
 
 // ---------- absorbing chains ----------
@@ -346,6 +414,128 @@ TEST(Jackson, MatchesDecoderPipelineIntuition) {
             sol.station[0].mean_queue_length);
   EXPECT_GT(sol.station[1].mean_queue_length,
             sol.station[2].mean_queue_length);
+}
+
+// ---------- golden pins ----------
+//
+// FNV-1a hashes of the solver outputs' bit patterns.  They pin today's exact
+// results so that any change to chain storage or the solve path must
+// reproduce them bitwise, not merely within a tolerance.  The hashes assume
+// IEEE-754 doubles and the x86-64/glibc libm that computed them.
+
+std::uint64_t fnv1a(std::span<const double> xs,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const double x : xs) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Banded chain: each state talks to `band` neighbours on each side, with a
+// forward drift so the iterative solvers converge.
+Dtmc banded_chain(std::size_t n, std::size_t band) {
+  Dtmc d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t lo = i > band ? i - band : 0;
+    const std::size_t hi = std::min(n - 1, i + band);
+    double off = 0.0;
+    for (std::size_t j = lo; j <= hi; ++j) {
+      if (j == i) continue;
+      const double side = j > i ? 0.3 : 0.2;
+      const std::size_t count = j > i ? hi - i : i - lo;
+      const double w = side / static_cast<double>(count);
+      d.set(i, j, w);
+      off += w;
+    }
+    d.set(i, i, 1.0 - off);
+  }
+  return d;
+}
+
+TEST(GoldenPins, ProducerConsumerAnalyze) {
+  const std::pair<std::size_t, std::uint64_t> cases[] = {
+      {63, 0x735563e2afc1eecaULL},
+      {255, 0x400798ae376e0f44ULL},
+      {1023, 0xede3edb472a94f39ULL},
+      {4095, 0xfda3f8e2fe1bf693ULL}};
+  for (const auto& [capacity, pin] : cases) {
+    ProducerConsumerModel m;
+    m.consumer_rate = 1000.0;
+    m.producer_rate = 0.85 * m.consumer_rate;
+    m.buffer_capacity = capacity;
+    const auto r = m.analyze();
+    const double scalars[] = {r.mean_occupancy, r.throughput};
+    EXPECT_EQ(fnv1a(scalars, fnv1a(r.occupancy_distribution)), pin)
+        << "capacity " << capacity;
+  }
+}
+
+TEST(GoldenPins, IterativeSolversOnBandedDtmc) {
+  const Dtmc d = banded_chain(300, 4);
+  const SolveResult pw = d.steady_state(method(SteadyStateMethod::kPowerIteration));
+  const SolveResult gs = d.steady_state(method(SteadyStateMethod::kGaussSeidel));
+  ASSERT_TRUE(pw.converged);
+  ASSERT_TRUE(gs.converged);
+  EXPECT_EQ(pw.iterations, 3939u);
+  EXPECT_EQ(gs.iterations, 946u);
+  EXPECT_EQ(fnv1a(pw.distribution), 0xd2f9747417d5c600ULL);
+  EXPECT_EQ(fnv1a(gs.distribution), 0xffdf2886b4455b85ULL);
+}
+
+TEST(Dtmc, GaussSeidelMatchesPowerIterationOnLargeChain) {
+  // 1500 states: both iterative solvers land on the same fixpoint.
+  const Dtmc d = banded_chain(1500, 4);
+  const SolveResult pw = d.steady_state(method(SteadyStateMethod::kPowerIteration));
+  const SolveResult gs = d.steady_state(method(SteadyStateMethod::kGaussSeidel));
+  ASSERT_TRUE(pw.converged);
+  ASSERT_TRUE(gs.converged);
+  for (std::size_t i = 0; i < pw.distribution.size(); ++i) {
+    EXPECT_NEAR(pw.distribution[i], gs.distribution[i], 1e-8) << "state " << i;
+  }
+}
+
+TEST(GoldenPins, CtmcTransient) {
+  const std::size_t n = 40;
+  Ctmc c(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    c.set_rate(i, i + 1, 3.0 + 0.1 * static_cast<double>(i % 5));
+    c.set_rate(i + 1, i, 4.0);
+    if (i + 3 < n) c.set_rate(i, i + 3, 0.25);
+  }
+  std::vector<double> init(n, 0.0);
+  init[0] = 0.5;
+  init[7] = 0.5;
+  EXPECT_EQ(fnv1a(c.transient(init, 0.5)), 0xa1b08ed91ace1b55ULL);
+  EXPECT_EQ(fnv1a(c.transient(init, 6.0)), 0xfa8ec06986048aebULL);
+}
+
+TEST(GoldenPins, AbsorbingAnalysis) {
+  // Biased walk on 0..24 with a lazy step; 0 and 24 absorb.
+  const std::size_t n = 25;
+  Dtmc d(n);
+  d.set(0, 0, 1.0);
+  d.set(n - 1, n - 1, 1.0);
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    d.set(i, i - 1, 0.35);
+    d.set(i, i, 0.2);
+    d.set(i, i + 1, 0.45);
+  }
+  std::vector<bool> absorbing(n, false);
+  absorbing[0] = absorbing[n - 1] = true;
+  const auto r = holms::markov::absorbing_analysis(d, absorbing);
+  std::vector<double> probs;
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = 0; k < r.absorbing_states.size(); ++k) {
+      probs.push_back(r.absorption_probability.at(s, k));
+    }
+  }
+  EXPECT_EQ(fnv1a(r.expected_steps), 0x63107d96f90cacd0ULL);
+  EXPECT_EQ(fnv1a(probs), 0x196166d1dc723237ULL);
 }
 
 TEST(ProducerConsumer, BalancedPipelineIsSymmetric) {

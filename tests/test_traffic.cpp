@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include <sstream>
@@ -157,6 +159,23 @@ TEST(Fgn, SampleAutocorrMatchesTheory) {
   const auto xs = fgn_hosking(8192, h, rng);
   const double r1 = holms::sim::autocorrelation(xs, 1);
   EXPECT_NEAR(r1, fgn_autocovariance(h, 1), 0.08);
+}
+
+TEST(Fgn, HoskingGoldenPin) {
+  // FNV-1a over the trace's bit patterns: pins the exact Hosking output
+  // (x86-64/glibc libm, libstdc++ normal distribution).
+  Rng rng(42);
+  const auto xs = fgn_hosking(4096, 0.75, rng);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double x : xs) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0xfdf8075d232f81c1ULL);
 }
 
 TEST(Fgn, RejectsInvalidH) {
