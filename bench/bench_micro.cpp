@@ -139,18 +139,30 @@ void BM_SaMapping(benchmark::State& state) {
 }
 BENCHMARK(BM_SaMapping)->Arg(1000)->Arg(5000)->ArgName("iters");
 
-// Full re-evaluation (SaOptions::debug_full_eval) vs the O(deg) delta-cost
-// path, on the E4 video/audio configuration (mms_graph, 4x4 mesh).
+// SA from the greedy seed: the full re-evaluation oracle
+// (sa_mapping_full_eval) when `full`, else the O(deg) delta-cost sa_mapping.
+holms::noc::Mapping sa_from_greedy(bool full, const holms::noc::AppGraph& g,
+                                   const holms::noc::Mesh2D& mesh,
+                                   const holms::noc::EnergyModel& em,
+                                   holms::sim::Rng& rng,
+                                   const holms::noc::SaOptions& opts) {
+  if (!full) return holms::noc::sa_mapping(g, mesh, em, rng, opts);
+  return holms::noc::sa_mapping_full_eval(
+      g, mesh, em, holms::noc::greedy_mapping(g, mesh, em), rng, opts);
+}
+
+// Full re-evaluation vs the O(deg) delta-cost path, on the E4 video/audio
+// configuration (mms_graph, 4x4 mesh).
 void BM_SaMappingMode(benchmark::State& state) {
   const auto g = holms::noc::mms_graph();
   holms::noc::Mesh2D mesh(4, 4);
   holms::noc::EnergyModel em;
   holms::noc::SaOptions opts;
   opts.iterations = 20000;
-  opts.debug_full_eval = state.range(0) == 0;
+  const bool full = state.range(0) == 0;
   for (auto _ : state) {
     holms::sim::Rng rng(4);
-    auto m = holms::noc::sa_mapping(g, mesh, em, rng, opts);
+    auto m = sa_from_greedy(full, g, mesh, em, rng, opts);
     benchmark::DoNotOptimize(m.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -214,7 +226,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// SA moves/s on the E4 configuration; `full` selects the debug baseline.
+// SA moves/s on the E4 configuration; `full` selects the full-eval oracle.
 double sa_moves_per_s(bool full) {
   const auto g = holms::noc::mms_graph();
   holms::noc::Mesh2D mesh(4, 4);
@@ -222,16 +234,15 @@ double sa_moves_per_s(bool full) {
   holms::noc::SaOptions opts;
   opts.iterations = full ? 100000 : 300000;
   opts.cooling = 1.0 - 1.0 / static_cast<double>(opts.iterations);
-  opts.debug_full_eval = full;
   {  // warmup: route tables, caches, branch predictors
     holms::sim::Rng rng(4);
     holms::noc::SaOptions w = opts;
     w.iterations = 2000;
-    benchmark::DoNotOptimize(holms::noc::sa_mapping(g, mesh, em, rng, w));
+    benchmark::DoNotOptimize(sa_from_greedy(full, g, mesh, em, rng, w));
   }
   holms::sim::Rng rng(4);
   const auto t0 = std::chrono::steady_clock::now();
-  auto m = holms::noc::sa_mapping(g, mesh, em, rng, opts);
+  auto m = sa_from_greedy(full, g, mesh, em, rng, opts);
   const double dt = seconds_since(t0);
   benchmark::DoNotOptimize(m.data());
   return static_cast<double>(opts.iterations) / dt;

@@ -15,7 +15,9 @@ namespace holms::core {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x484f4c4d53434b50ULL;    // "HOLMSCKP"
-constexpr std::uint64_t kVersion = 1;
+// v2: options_digest() no longer folds the removed SA oracle flag, so a v1
+// blob is rejected by version instead of by an opaque digest mismatch.
+constexpr std::uint64_t kVersion = 2;
 constexpr std::uint64_t kDigestSeed = 0x636b70646967ULL;   // "ckpdig"
 constexpr std::uint64_t kInitStream = 0x696e6974ULL;       // "init"
 
@@ -352,7 +354,6 @@ std::uint64_t IslandExplorer::options_digest() const {
   h = fold(h, opts_.sa.initial_temperature);
   h = fold(h, opts_.sa.cooling);
   h = fold(h, opts_.sa.infeasibility_penalty);
-  h = fold(h, static_cast<std::uint64_t>(opts_.sa.debug_full_eval));
   h = fold(h, opts_.sa.w_swap);
   h = fold(h, opts_.sa.w_segment_reversal);
   h = fold(h, opts_.sa.w_cluster_relocate);

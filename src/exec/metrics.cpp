@@ -42,15 +42,6 @@ std::uint64_t now_ns() {
 }  // namespace
 
 void Histogram::observe(double x) {
-  // Scale so 1 ns lands near bucket 0 and 1 s near bucket 30; clamp the
-  // rest.  The exact bucket bounds matter less than sum/count/min/max.
-  const double scaled = std::abs(x) * 1e9;
-  std::size_t b = 0;
-  if (scaled >= 1.0) {
-    b = static_cast<std::size_t>(std::ilogb(scaled)) + 1;
-    if (b >= kBuckets) b = kBuckets - 1;
-  }
-  buckets_[b].fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, x);
   if (!seeded_.exchange(true, std::memory_order_acq_rel)) {
     // First observer initializes both extremes; racers fall through to the

@@ -34,25 +34,17 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Log2-bucketed histogram over non-negative samples, plus exact sum / count
-/// / min / max.  Buckets hold |x| in [2^(i-1), 2^i) scaled by 1e9 so
-/// sub-second timings land in distinct buckets; good enough to see shape
-/// (uniform vs heavy-tailed) without configuring bucket bounds per metric.
+/// Streaming summary of a sample series: exact count / sum / min / max
+/// (dump_json derives the mean).  observe() is safe to call concurrently.
 class Histogram {
  public:
-  static constexpr std::size_t kBuckets = 64;
-
   void observe(double x);
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double min() const;
   double max() const;
-  std::uint64_t bucket(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
 
  private:
-  std::atomic<std::uint64_t> buckets_[kBuckets] = {};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{0.0};

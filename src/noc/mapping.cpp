@@ -231,7 +231,7 @@ namespace {
 // displaced by an earlier swap of the same move simply rides along — the
 // move stays a bijection on tile contents, so unwinding the swaps in reverse
 // is an exact inverse.  Shared by SwapEvaluator::apply_move and the
-// debug_full_eval oracle so both execute identical swap sequences.
+// sa_mapping_full_eval oracle so both execute identical swap sequences.
 // The membership is graph-only (it never looks at the mapping), so it is
 // precomputed once per SA run / evaluator as a per-core {count, n1, n2} row
 // by cluster_neighbor_table() — a cluster move then costs only its swap
@@ -583,14 +583,10 @@ void SwapEvaluator::revert_move() {
   }
 }
 
-namespace {
-
-// The pre-incremental Metropolis loop: one full evaluate_mapping per move.
-// Kept verbatim behind SaOptions::debug_full_eval as the baseline bench_micro
-// measures against and the oracle the equivalence tests drive.
-Mapping sa_mapping_full(const AppGraph& g, const Mesh2D& mesh,
-                        const EnergyModel& energy, sim::Rng& rng,
-                        const SaOptions& opts, Mapping m) {
+Mapping sa_mapping_full_eval(const AppGraph& g, const Mesh2D& mesh,
+                             const EnergyModel& energy, Mapping m,
+                             sim::Rng& rng, const SaOptions& opts) {
+  opts.validate();
   const std::size_t n = g.num_nodes();
   std::vector<std::size_t> occupant(mesh.num_tiles(), n);
   for (std::size_t c = 0; c < n; ++c) occupant[m[c]] = c;
@@ -657,8 +653,6 @@ Mapping sa_mapping_full(const AppGraph& g, const Mesh2D& mesh,
   return best;
 }
 
-}  // namespace
-
 Mapping sa_mapping(const AppGraph& g, const Mesh2D& mesh,
                    const EnergyModel& energy, sim::Rng& rng,
                    const SaOptions& opts) {
@@ -671,14 +665,10 @@ Mapping sa_mapping_from(const AppGraph& g, const Mesh2D& mesh,
                         const EnergyModel& energy, Mapping initial,
                         sim::Rng& rng, const SaOptions& opts) {
   opts.validate();
-  if (opts.debug_full_eval) {
-    return sa_mapping_full(g, mesh, energy, rng, opts, std::move(initial));
-  }
-
   // Delta-cost path: the evaluator keeps per-link loads and the running
   // energy, so a move costs O(deg(a) + deg(b)) route adjustments instead of
   // a full O(edges * hops) re-evaluation.  The RNG draw sequence is the same
-  // as the full path's, so both modes explore the same move trajectory
+  // as sa_mapping_full_eval's, so both explore the same move trajectory
   // (modulo accept flips within the ~1e-12 incremental/full cost gap).
   SwapEvaluator ev(g, mesh, energy, std::move(initial),
                    opts.link_capacity_bps, opts.infeasibility_penalty,

@@ -79,12 +79,6 @@ struct SaOptions {
   double cooling = 0.9995;
   double link_capacity_bps = 0.0;    // 0 = unconstrained
   double infeasibility_penalty = 2.0;  // cost multiplier per violation ratio
-  /// Debug baseline: re-run the full O(edges * hops) evaluate_mapping for
-  /// every move instead of the O(deg) delta-cost path.  Kept for A/B
-  /// benchmarking and as the correctness oracle the equivalence tests and
-  /// bench_micro compare against.
-  bool debug_full_eval = false;
-
   /// Move-mix weights (DESIGN.md §5g).  With the default swap-only mix the
   /// loop consumes exactly the legacy RNG draw sequence (no selector draw);
   /// any nonzero non-swap weight switches both SA paths to the shared
@@ -140,9 +134,10 @@ struct SaOptions {
 };
 
 /// Draws the next SA move from the configured mix.  Shared by the incremental
-/// and debug_full_eval loops so both consume the identical RNG stream: a
-/// swap-only mix skips the selector draw entirely (preserving the legacy
-/// sequence), mixed runs draw one selector then the kind-specific indices.
+/// loop and the sa_mapping_full_eval oracle so both consume the identical RNG
+/// stream: a swap-only mix skips the selector draw entirely (preserving the
+/// legacy sequence), mixed runs draw one selector then the kind-specific
+/// indices.
 MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
                      std::size_t num_cores);
 
@@ -151,7 +146,7 @@ MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
 /// running communication energy and the busiest-link load for a mapping, and
 /// updates all three by touching only the edges incident to the two swapped
 /// tiles (routes come from a precomputed XyRouteTable).  apply_swap snapshots
-/// every value it mutates, so revert_swap restores the pre-move state
+/// every value it mutates, so revert_move restores the pre-move state
 /// *bitwise* — rejected moves (the vast majority, late in an SA schedule)
 /// leave no floating-point residue.  Accepted moves accumulate one rounding
 /// step each; the equivalence suite in tests/test_hotpath.cpp pins the drift
@@ -200,12 +195,10 @@ class SwapEvaluator {
   /// Restores the exact pre-apply state (bitwise) of the pending move,
   /// whether opened by apply_swap or apply_move.  Only valid once per move.
   void revert_move();
-  void revert_swap() { revert_move(); }
 
   /// Accepts the pending move: discards the undo log.  Every apply_* must
   /// be resolved by exactly one commit or revert.
   void commit_move() { move_open_ = false; }
-  void commit_swap() { move_open_ = false; }
 
   /// Recomputes every cached quantity from the mapping (drift control /
   /// debugging; never required by sa_mapping).
@@ -272,6 +265,16 @@ Mapping sa_mapping(const AppGraph& g, const Mesh2D& mesh,
 Mapping sa_mapping_from(const AppGraph& g, const Mesh2D& mesh,
                         const EnergyModel& energy, Mapping initial,
                         sim::Rng& rng, const SaOptions& opts = {});
+
+/// Reference oracle for sa_mapping_from: the pre-incremental Metropolis loop,
+/// one full O(edges * hops) evaluate_mapping per move instead of the O(deg)
+/// delta-cost update.  Draws the same RNG sequence, so it explores the same
+/// move trajectory (modulo accept flips within the ~1e-12 incremental/full
+/// cost gap).  Not a production path: the equivalence tests compare against
+/// it and bench_micro measures the delta path's speedup over it.
+Mapping sa_mapping_full_eval(const AppGraph& g, const Mesh2D& mesh,
+                             const EnergyModel& energy, Mapping initial,
+                             sim::Rng& rng, const SaOptions& opts = {});
 
 /// Exact branch-and-bound mapping — the actual algorithm of [20].  Explores
 /// core placements in traffic order, pruning any partial placement whose

@@ -99,13 +99,6 @@ class NocSim {
     /// whole packet dropped and counted, so a blackhole never wedges the
     /// cycle loop or starves the VCs behind it.
     std::uint32_t head_stall_drop_cycles = 1024;
-    /// kFaultTolerant admit-mask memory: meshes with at least this many tiles
-    /// skip the O(tiles^2 * 5) precomputed table and run per-destination
-    /// reverse BFS on demand, caching results in a small LRU keyed by fault
-    /// epoch (every fault/repair event starts a new epoch).  Routes are
-    /// identical either way; only the memory/latency trade-off moves.  The
-    /// default flips at 32x32.
-    std::size_t ft_on_demand_min_tiles = 1024;
   };
 
   NocSim(const Mesh2D& mesh, const Config& cfg, sim::Rng rng);
@@ -193,17 +186,10 @@ class NocSim {
   /// True iff the odd-even turn model admits moving in direction `move` out
   /// of `t_from` for a worm that entered via `in_from`, over live links only.
   bool move_legal(TileId t_from, Dir in_from, Dir move) const;
-  /// Rebuilds the kFaultTolerant per-destination admit masks (BFS over the
-  /// (tile, in_port) state graph on live links honoring the turn model).
-  /// In on-demand mode this only bumps ft_epoch_, invalidating the LRU.
-  void rebuild_ft_tables();
-  /// One destination's reverse BFS: fills `admit` (num_tiles * kNumPorts
-  /// masks).  Shared verbatim by the full-table and on-demand paths so their
-  /// routes are identical by construction.
+  /// One destination's reverse BFS over the (tile, in_port) state graph on
+  /// live links honoring the turn model: fills `admit` (num_tiles *
+  /// kNumPorts output-direction masks).
   void compute_ft_admit(TileId dst, std::uint8_t* admit) const;
-  /// On-demand mode: current-epoch admit table for `dst` from the LRU,
-  /// recomputed via compute_ft_admit on a miss.
-  const std::uint8_t* ft_table_for(TileId dst) const;
 
   const Mesh2D& mesh_;
   Config cfg_;
@@ -219,22 +205,13 @@ class NocSim {
   std::vector<std::uint8_t> link_up_;    // per directed link; empty = armed off
   std::vector<std::uint8_t> router_up_;  // per tile; empty = armed off
   // kFaultTolerant admit masks: [(dst*T + tile)*kNumPorts + in_port] -> 5-bit
-  // output-direction mask.  Rebuilt only on fault/repair events.  Empty in
-  // on-demand mode, where ft_cache_ holds per-destination tables instead.
-  std::vector<std::uint8_t> ft_admit_;
-  bool ft_on_demand_ = false;       // num_tiles >= cfg.ft_on_demand_min_tiles
-  std::uint64_t ft_epoch_ = 0;      // bumped per fault/repair; stale = miss
-  struct FtCacheEntry {
-    TileId dst = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t last_use = 0;     // LRU clock; evict the minimum
-    std::vector<std::uint8_t> admit;  // num_tiles * kNumPorts masks
-  };
-  static constexpr std::size_t kFtCacheCapacity = 64;
-  // route_admits() is const and hot, so the cache bookkeeping is mutable.
-  mutable std::vector<FtCacheEntry> ft_cache_;
-  mutable std::uint64_t ft_cache_tick_ = 0;
-  mutable std::size_t ft_mru_ = 0;  // last hit — checked before the scan
+  // output-direction mask, filled lazily per destination.  A destination's
+  // slice is current iff ft_stamp_[dst] == ft_epoch_; every fault/repair
+  // event bumps the epoch, since only liveness changes can change a route.
+  // route_admits() is const and hot, so the table is mutable.
+  mutable std::vector<std::uint8_t> ft_admit_;
+  mutable std::vector<std::uint64_t> ft_stamp_;
+  std::uint64_t ft_epoch_ = 1;
   // BFS scratch reused across compute_ft_admit calls.
   mutable std::vector<std::uint32_t> ft_dist_;
   mutable std::vector<std::uint32_t> ft_queue_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/ambient.hpp"
 #include "core/explorer.hpp"
@@ -151,13 +152,13 @@ holms::noc::NocSim::Config noc_cfg(holms::noc::RoutingAlgo algo) {
   return cfg;
 }
 
-holms::noc::NocStats run_noc(const holms::noc::Mesh2D& mesh,
-                             holms::noc::RoutingAlgo algo,
-                             const FaultSchedule* schedule,
-                             std::uint64_t cycles = 8000) {
+holms::noc::NocStats run_noc(
+    const holms::noc::Mesh2D& mesh, holms::noc::RoutingAlgo algo,
+    const FaultSchedule* schedule, std::uint64_t cycles = 8000,
+    holms::noc::TrafficPattern pattern =
+        holms::noc::TrafficPattern::kUniformRandom) {
   holms::noc::NocSim sim(mesh, noc_cfg(algo), Rng(99));
-  add_pattern_flows(sim, mesh, holms::noc::TrafficPattern::kUniformRandom,
-                    0.02, 4);
+  add_pattern_flows(sim, mesh, pattern, 0.02, 4);
   if (schedule != nullptr) sim.attach_fault_schedule(schedule);
   sim.run(cycles);
   return sim.stats();
@@ -189,43 +190,79 @@ TEST(NocFault, SameScheduleSameSeedBitwiseIdentical) {
   EXPECT_DOUBLE_EQ(a.delivery_ratio, b.delivery_ratio);
 }
 
-TEST(NocFault, OnDemandFtTablesRouteIdenticallyToPrecomputed) {
-  // The on-demand reverse-BFS + LRU path (meshes >= ft_on_demand_min_tiles)
-  // must reproduce the precomputed-table routes exactly: force it on at 8x8
-  // and compare every stats field bitwise against the default table mode,
-  // under a fault schedule that crosses several epochs.
-  const holms::noc::Mesh2D mesh(8, 8);
-  std::vector<FaultEvent> trace;
-  for (std::size_t i = 0; i < mesh.num_undirected_links(); i += 20) {
-    trace.push_back({2000.0, FaultKind::kFail, Target::kLink, i});
-    trace.push_back({5000.0, FaultKind::kRepair, Target::kLink, i});
-  }
-  trace.push_back({3000.0, FaultKind::kFail, Target::kNode, 27});
-  const auto sched = FaultSchedule::from_trace(trace);
-
-  auto run = [&](std::size_t min_tiles) {
-    auto cfg = noc_cfg(holms::noc::RoutingAlgo::kFaultTolerant);
-    cfg.ft_on_demand_min_tiles = min_tiles;
-    holms::noc::NocSim sim(mesh, cfg, Rng(99));
-    add_pattern_flows(sim, mesh, holms::noc::TrafficPattern::kUniformRandom,
-                      0.02, 4);
-    sim.attach_fault_schedule(&sched);
-    sim.run(8000);
-    return sim.stats();
+// FNV-1a over the bit patterns of the kFaultTolerant run's stats.  The pins
+// were recorded with the two FT route stores the lazily filled table replaced
+// (an eager all-destination table and a 64-entry LRU), which agreed bitwise
+// on every case here; any change that moves a single FT route moves a pin.
+// Like the markov pins they assume IEEE-754 doubles on x86-64.
+std::uint64_t ft_stats_pin(const holms::noc::NocStats& s) {
+  auto bits = [](double x) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
   };
-  const auto table = run(1024);   // default: 64 tiles < 1024 -> full table
-  const auto lazy = run(1);       // forced on-demand + LRU
-  EXPECT_GT(table.faults_applied, 0u);
-  EXPECT_EQ(table.packets_injected, lazy.packets_injected);
-  EXPECT_EQ(table.packets_delivered, lazy.packets_delivered);
-  EXPECT_EQ(table.packets_dropped, lazy.packets_dropped);
-  EXPECT_EQ(table.flit_hops, lazy.flit_hops);
-  EXPECT_EQ(table.reroute_hops, lazy.reroute_hops);
-  EXPECT_EQ(table.faults_applied, lazy.faults_applied);
-  EXPECT_DOUBLE_EQ(table.mean_packet_latency, lazy.mean_packet_latency);
-  EXPECT_DOUBLE_EQ(table.p99_packet_latency, lazy.p99_packet_latency);
-  EXPECT_DOUBLE_EQ(table.energy_joules, lazy.energy_joules);
-  EXPECT_DOUBLE_EQ(table.delivery_ratio, lazy.delivery_ratio);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t w :
+       {s.packets_injected, s.packets_delivered, s.packets_dropped,
+        s.flit_hops, s.reroute_hops, s.faults_applied,
+        bits(s.mean_packet_latency), bits(s.p99_packet_latency),
+        bits(s.energy_joules), bits(s.delivery_ratio)}) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// One pinned 8000-cycle FT run: 8x8 under uniform traffic (every
+// source-destination pair), 16x16 under transpose traffic, which still spans
+// ~240 destinations at a fraction of uniform traffic's per-cycle cost.
+struct FtPinCase {
+  std::size_t side;
+  holms::noc::TrafficPattern pattern;
+  std::uint64_t pin;
+};
+
+TEST(NocFault, FtRoutesMatchGoldenPinsAcrossEpochs) {
+  // Every 20th link fails at 2000 and comes back at 5000, and router 27
+  // dies at 3000: each event starts a new fault epoch, so every destination's
+  // admit slice is refilled several times over the run.
+  const FtPinCase cases[] = {
+      {8, holms::noc::TrafficPattern::kUniformRandom, 0x0303dcdf8543fe0bULL},
+      {16, holms::noc::TrafficPattern::kTranspose, 0xf0b27fe97d548738ULL}};
+  for (const FtPinCase& c : cases) {
+    const holms::noc::Mesh2D mesh(c.side, c.side);
+    std::vector<FaultEvent> trace;
+    for (std::size_t i = 0; i < mesh.num_undirected_links(); i += 20) {
+      trace.push_back({2000.0, FaultKind::kFail, Target::kLink, i});
+      trace.push_back({5000.0, FaultKind::kRepair, Target::kLink, i});
+    }
+    trace.push_back({3000.0, FaultKind::kFail, Target::kNode, 27});
+    const auto sched = FaultSchedule::from_trace(trace);
+    const auto s = run_noc(mesh, holms::noc::RoutingAlgo::kFaultTolerant,
+                           &sched, 8000, c.pattern);
+    EXPECT_GT(s.faults_applied, 0u) << c.side << "x" << c.side;
+    EXPECT_EQ(ft_stats_pin(s), c.pin) << c.side << "x" << c.side;
+  }
+}
+
+TEST(NocFault, FtRoutesOn32x32SurviveLinkFailAndRepair) {
+  // 1024 tiles, the largest mesh any test routes (5.2 MB of admit masks).
+  // Transpose traffic keeps the run short while touching ~1000 distinct
+  // destinations; one central link fails and is repaired mid-run.
+  const holms::noc::Mesh2D mesh(32, 32);
+  const std::size_t link = 16 * 31 + 15;  // row 16, tile 15 -> tile 16
+  const auto sched = FaultSchedule::from_trace({
+      {100.0, FaultKind::kFail, Target::kLink, link},
+      {250.0, FaultKind::kRepair, Target::kLink, link},
+  });
+  const auto s = run_noc(mesh, holms::noc::RoutingAlgo::kFaultTolerant,
+                         &sched, 400, holms::noc::TrafficPattern::kTranspose);
+  EXPECT_EQ(s.faults_applied, 2u);
+  EXPECT_GT(s.reroute_hops, 0u);
+  EXPECT_GT(s.packets_delivered, 0u);
+  EXPECT_EQ(ft_stats_pin(s), 0x0f0ba931ad676727ULL);
 }
 
 TEST(NocFault, FaultTolerantSustainsDeliveryWhereXyBlackholes) {
@@ -979,11 +1016,10 @@ TEST(ExploreFault, SloScoresAreThreadCountInvariant) {
 
 // ---------- NoC row bursts ----------
 
-TEST(NocFault, RowBurstOnDemandMatchesTableBitwise) {
-  // A cable-bundle domain owning every horizontal link of two mesh rows:
-  // one burst severs whole rows at once, and the on-demand FT path must
-  // reroute identically to the precomputed tables.
-  const holms::noc::Mesh2D mesh(8, 8);
+TEST(NocFault, RowBurstFtRoutesMatchGoldenPins) {
+  // A cable-bundle domain owning link ids 21..27 and 35..41 (on 8x8 every
+  // horizontal link of rows 3 and 5): one burst severs whole rows at once,
+  // and the FT routes must detour around them exactly as pinned.
   FailureDomainTree tree("mesh");
   const auto bundle3 = tree.add_domain(FailureDomainTree::kRoot, "row3");
   const auto bundle5 = tree.add_domain(FailureDomainTree::kRoot, "row5");
@@ -1002,29 +1038,17 @@ TEST(NocFault, RowBurstOnDemandMatchesTableBitwise) {
   const auto sched = FaultSchedule::bursts(33, tree, spec);
   ASSERT_FALSE(sched.empty());
 
-  auto run = [&](std::size_t min_tiles) {
-    auto cfg = noc_cfg(holms::noc::RoutingAlgo::kFaultTolerant);
-    cfg.ft_on_demand_min_tiles = min_tiles;
-    holms::noc::NocSim sim(mesh, cfg, Rng(99));
-    add_pattern_flows(sim, mesh, holms::noc::TrafficPattern::kUniformRandom,
-                      0.02, 4);
-    sim.attach_fault_schedule(&sched);
-    sim.run(8000);
-    return sim.stats();
-  };
-  const auto table = run(1024);
-  const auto lazy = run(1);
-  EXPECT_GT(table.faults_applied, 0u);
-  EXPECT_GT(table.reroute_hops, 0u);  // the severed rows forced detours
-  EXPECT_EQ(table.packets_injected, lazy.packets_injected);
-  EXPECT_EQ(table.packets_delivered, lazy.packets_delivered);
-  EXPECT_EQ(table.packets_dropped, lazy.packets_dropped);
-  EXPECT_EQ(table.flit_hops, lazy.flit_hops);
-  EXPECT_EQ(table.reroute_hops, lazy.reroute_hops);
-  EXPECT_EQ(table.faults_applied, lazy.faults_applied);
-  EXPECT_DOUBLE_EQ(table.mean_packet_latency, lazy.mean_packet_latency);
-  EXPECT_DOUBLE_EQ(table.energy_joules, lazy.energy_joules);
-  EXPECT_DOUBLE_EQ(table.delivery_ratio, lazy.delivery_ratio);
+  const FtPinCase cases[] = {
+      {8, holms::noc::TrafficPattern::kUniformRandom, 0xcae56bf582877167ULL},
+      {16, holms::noc::TrafficPattern::kTranspose, 0x7aa42c37008663f4ULL}};
+  for (const FtPinCase& c : cases) {
+    const holms::noc::Mesh2D mesh(c.side, c.side);
+    const auto s = run_noc(mesh, holms::noc::RoutingAlgo::kFaultTolerant,
+                           &sched, 8000, c.pattern);
+    EXPECT_GT(s.faults_applied, 0u) << c.side << "x" << c.side;
+    EXPECT_GT(s.reroute_hops, 0u) << c.side << "x" << c.side;  // detours
+    EXPECT_EQ(ft_stats_pin(s), c.pin) << c.side << "x" << c.side;
+  }
 }
 
 // ---------- MANET enclosure bursts ----------

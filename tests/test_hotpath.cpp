@@ -68,10 +68,10 @@ void drive_and_compare(const noc::AppGraph& g, const noc::Mesh2D& mesh,
     const double before = ev.cost();
     const double after = ev.apply_swap(a, b);
     if (rng.bernoulli(0.5)) {
-      ev.commit_swap();
+      ev.commit_move();
       (void)after;
     } else {
-      ev.revert_swap();
+      ev.revert_move();
       // Rejected moves must leave zero floating-point residue.
       ASSERT_EQ(ev.cost(), before) << "revert not bitwise at move " << i;
     }
@@ -223,12 +223,11 @@ TEST(SaMoves, MixedMoveSaMatchesDebugFullEvalQuality) {
   opts.w_segment_reversal = 0.2;
   opts.w_cluster_relocate = 0.2;
   opts.reheat_after = 1500;
-  opts.debug_full_eval = false;
   sim::Rng r1(7);
   const auto inc = noc::sa_mapping(g, mesh, em, r1, opts);
-  opts.debug_full_eval = true;
   sim::Rng r2(7);
-  const auto full = noc::sa_mapping(g, mesh, em, r2, opts);
+  const auto full = noc::sa_mapping_full_eval(
+      g, mesh, em, noc::greedy_mapping(g, mesh, em), r2, opts);
   const double ci = noc::evaluate_mapping(g, mesh, em, inc).comm_energy_j;
   const double cf = noc::evaluate_mapping(g, mesh, em, full).comm_energy_j;
   // Both paths consume the shared sample_move stream; trajectories agree
@@ -279,12 +278,11 @@ TEST(SaMapping, DebugFullEvalReachesSameQuality) {
   const noc::EnergyModel em;
   noc::SaOptions opts;
   opts.iterations = 4000;
-  opts.debug_full_eval = false;
   sim::Rng r1(7);
   const auto inc = noc::sa_mapping(g, mesh, em, r1, opts);
-  opts.debug_full_eval = true;
   sim::Rng r2(7);
-  const auto full = noc::sa_mapping(g, mesh, em, r2, opts);
+  const auto full = noc::sa_mapping_full_eval(
+      g, mesh, em, noc::greedy_mapping(g, mesh, em), r2, opts);
   const double ci = noc::evaluate_mapping(g, mesh, em, inc).comm_energy_j;
   const double cf = noc::evaluate_mapping(g, mesh, em, full).comm_energy_j;
   // Same seed, same RNG draw sequence: the two modes walk the same move

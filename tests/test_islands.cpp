@@ -11,6 +11,7 @@
 #include "core/islands.hpp"
 #include "core/platform.hpp"
 #include "exec/error.hpp"
+#include "exec/rng_stream.hpp"
 #include "noc/taskgraph.hpp"
 
 namespace {
@@ -267,6 +268,46 @@ TEST(Islands, CorruptingAnyByteThrowsRuntimeError) {
   std::vector<std::uint8_t> truncated(blob.begin(), blob.end() - 8);
   EXPECT_THROW(IslandExplorer::resume(app, plat, opts, truncated),
                holms::RuntimeError);
+}
+
+TEST(Islands, ResumeRejectsVersion1BlobByVersion) {
+  // Version 2 dropped a field from the options digest.  A well-formed v1
+  // blob (re-sealed with a valid trailing digest) must fail on its version
+  // word, not further down on an options-digest mismatch.
+  const Application app = island_app();
+  const Platform plat = Platform::homogeneous(4, 4);
+  const IslandOptions opts = small_opts(2, 2);
+  Rng rng(42);
+  IslandExplorer ex(app, plat, rng, opts);
+  ex.step(1);
+  std::vector<std::uint8_t> blob = ex.checkpoint();
+  ASSERT_EQ(blob[8], 2u);  // word 1 (little-endian) is the version
+  blob[8] = 1;
+  // Re-seal: the trailing word folds every word before it.
+  const std::size_t words = blob.size() / 8;
+  auto word = [&](std::size_t i) {
+    std::uint64_t w = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      w |= static_cast<std::uint64_t>(blob[i * 8 + b]) << (8 * b);
+    }
+    return w;
+  };
+  std::uint64_t digest = 0x636b70646967ULL;  // "ckpdig"
+  for (std::size_t i = 0; i + 1 < words; ++i) {
+    digest = holms::exec::splitmix64(digest ^
+                                     holms::exec::splitmix64(word(i)));
+  }
+  for (std::size_t b = 0; b < 8; ++b) {
+    blob[(words - 1) * 8 + b] = static_cast<std::uint8_t>(digest >> (8 * b));
+  }
+  try {
+    IslandExplorer::resume(app, plat, opts, blob);
+    FAIL() << "a v1 blob resumed";
+  } catch (const holms::RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Islands, ResumeRejectsMismatchedPlatformOptionsAndScenario) {
