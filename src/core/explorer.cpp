@@ -215,16 +215,8 @@ ExploreResult explore(const Application& app, const Platform& platform,
   const std::size_t num_mappings = 1 + 2 * opts.restarts;
   exec::count("explore.restarts", opts.restarts);
 
-  // One SaOptions copy and one route table for every restart: the table is
-  // O(tiles^2 * mean_hops) — ~90 MB at 32x32 — so per-restart construction
-  // would multiply that by the pool width.
   noc::SaOptions sa_base = opts.sa;
   sa_base.link_capacity_bps = platform.link_bandwidth_bps;
-  std::optional<noc::XyRouteTable> shared_routes;
-  if (opts.restarts > 0 && sa_base.routes == nullptr) {
-    shared_routes.emplace(platform.mesh);
-    sa_base.routes = &*shared_routes;
-  }
 
   const std::vector<noc::Mapping> mappings =
       exec::parallel_transform<noc::Mapping>(
@@ -255,24 +247,17 @@ ExploreResult explore(const Application& app, const Platform& platform,
     if (opts.try_both_schedulers) jobs.push_back(Job{m, false});
   }
 
-  EvalCache* cache = opts.cache;
   std::optional<EvalCache> local_cache;
-  if (cache == nullptr && opts.use_cache) {
-    local_cache.emplace();
-    cache = &*local_cache;
-  }
-  const std::uint64_t app_fp = cache ? app_fingerprint(app) : 0;
-  const std::uint64_t plat_fp = cache ? platform_fingerprint(platform) : 0;
+  EvalCache* cache =
+      opts.cache != nullptr ? opts.cache : &local_cache.emplace();
+  const std::uint64_t app_fp = app_fingerprint(app);
+  const std::uint64_t plat_fp = platform_fingerprint(platform);
 
   std::vector<Evaluation> evals = exec::parallel_transform<Evaluation>(
       pool, jobs.size(), [&](std::size_t j) {
         const Job& job = jobs[j];
-        if (cache) {
-          return cache->evaluate(app, app_fp, platform, plat_fp,
-                                 mappings[job.mapping], job.use_dvs);
-        }
-        return evaluate_design(app, platform, mappings[job.mapping],
-                               job.use_dvs);
+        return cache->evaluate(app, app_fp, platform, plat_fp,
+                               mappings[job.mapping], job.use_dvs);
       });
   exec::count("explore.candidates", jobs.size());
 

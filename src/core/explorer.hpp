@@ -79,8 +79,7 @@ struct ExploreOptions {
   noc::SaOptions sa{};
   bool try_both_schedulers = true; // evaluate EDF and DVS variants
   std::size_t threads = 1;         // 0 = hardware concurrency, 1 = serial
-  bool use_cache = true;           // memoize evaluate_design calls
-  EvalCache* cache = nullptr;      // external cache (overrides use_cache);
+  EvalCache* cache = nullptr;      // external cache (nullptr = a local one);
                                    // shared by synthesize_platform trials
   exec::ThreadPool* pool = nullptr;  // external pool (overrides threads)
   const FaultScenario* faults = nullptr;  // robustness-aware DSE (optional)

@@ -155,7 +155,7 @@ IslandExplorer::IslandExplorer(const Application& app,
 
   if (opts_.cache != nullptr) {
     cache_ = opts_.cache;
-  } else if (opts_.use_cache) {
+  } else {
     owned_cache_ = std::make_unique<EvalCache>();
     cache_ = owned_cache_.get();
   }
@@ -168,13 +168,6 @@ IslandExplorer::IslandExplorer(const Application& app,
 
   sa_base_ = opts_.sa;
   sa_base_.link_capacity_bps = platform_.link_bandwidth_bps;
-  if (opts_.sa_runs_per_epoch > 0 && sa_base_.routes == nullptr) {
-    // One shared table for every refinement on every island: it is
-    // O(tiles^2 * mean_hops) — ~90 MB at 32x32 — so per-run construction
-    // would multiply that by islands * pool width.
-    owned_routes_ = std::make_unique<noc::XyRouteTable>(platform_.mesh);
-    sa_base_.routes = owned_routes_.get();
-  }
 
   if (!resumed) {
     islands_.resize(opts_.islands);
@@ -231,11 +224,8 @@ void IslandExplorer::run_epoch() {
       pool_, total_jobs, [&](std::size_t j) {
         const noc::Mapping& m = gen[j / scheds];
         const bool use_dvs = (j % scheds) == 0;
-        if (cache_ != nullptr) {
-          return cache_->evaluate(app_, app_fp_, platform_, platform_fp_, m,
-                                  use_dvs);
-        }
-        return evaluate_design(app_, platform_, m, use_dvs);
+        return cache_->evaluate(app_, app_fp_, platform_, platform_fp_, m,
+                                use_dvs);
       });
   exec::count("explore.candidates", total_jobs);
 
@@ -396,7 +386,7 @@ std::vector<std::uint8_t> IslandExplorer::checkpoint() const {
   w.u64(evaluated_);
   // Cache generation: informational — how much memoized state the resumed
   // process will be rebuilding (its own cache starts empty).
-  w.u64(cache_ != nullptr ? cache_->inserts() : 0);
+  w.u64(cache_->inserts());
   w.u64(static_cast<std::uint64_t>(islands_.size()));
   for (const Island& isl : islands_) {
     w.mapping(isl.incumbent);
@@ -503,10 +493,8 @@ IslandExplorer IslandExplorer::resume(const Application& app,
   // Evaluation comes back bitwise identical to the one the checkpointing
   // process held; the stored fault scores then re-apply the same floors.
   const auto reprice = [&](DesignCandidate& c) {
-    c.eval = ex.cache_ != nullptr
-                 ? ex.cache_->evaluate(app, ex.app_fp_, platform,
-                                       ex.platform_fp_, c.mapping, c.use_dvs)
-                 : evaluate_design(app, platform, c.mapping, c.use_dvs);
+    c.eval = ex.cache_->evaluate(app, ex.app_fp_, platform, ex.platform_fp_,
+                                 c.mapping, c.use_dvs);
     if (ex.opts_.faults != nullptr) {
       const FaultScenario& fs = *ex.opts_.faults;
       if (c.availability < fs.min_availability) c.eval.feasible = false;

@@ -59,8 +59,7 @@ struct IslandOptions {
   noc::SaOptions sa{};
   bool try_both_schedulers = true;  // price EDF next to the DVS variant
   std::size_t threads = 1;          // 0 = hardware concurrency, 1 = serial
-  bool use_cache = true;            // memoize evaluate_design calls
-  EvalCache* cache = nullptr;       // external cache (overrides use_cache)
+  EvalCache* cache = nullptr;       // external cache (nullptr = own one)
   exec::ThreadPool* pool = nullptr;  // external pool (overrides threads)
   const FaultScenario* faults = nullptr;  // robustness-aware DSE (optional)
   /// Periodic checkpointing: every `checkpoint_every` epochs the state blob
@@ -186,11 +185,8 @@ class IslandExplorer {
   std::uint64_t platform_fp_ = 0;
 
   /// SaOptions actually used per refinement: opts_.sa with the platform's
-  /// link capacity and (unless the caller supplied one) a pointer to the
-  /// explorer-owned shared route table.  heap-owned so the pointer stays
-  /// valid if the explorer itself is moved (resume() returns by value).
+  /// link capacity.
   noc::SaOptions sa_base_{};
-  std::unique_ptr<noc::XyRouteTable> owned_routes_;
 
   std::vector<Island> islands_;
   ParetoAccumulator acc_;

@@ -377,16 +377,11 @@ SwapEvaluator::SwapEvaluator(const AppGraph& g, const Mesh2D& mesh,
       energy_(energy),
       capacity_(link_capacity_bps),
       penalty_(infeasibility_penalty),
+      routes_(shared_routes != nullptr ? *shared_routes : XyRouteTable(mesh)),
       m_(std::move(m)) {
-  if (shared_routes != nullptr) {
-    if (shared_routes->tiles() != mesh.num_tiles()) {
-      throw holms::InvalidArgument(
-          "SwapEvaluator: shared route table was built for a different mesh");
-    }
-    routes_ = shared_routes;
-  } else {
-    owned_routes_.emplace(mesh);
-    routes_ = &*owned_routes_;
+  if (!routes_.built_for(mesh)) {
+    throw holms::InvalidArgument(
+        "SwapEvaluator: shared route table was built for a different mesh");
   }
   if (m_.size() != g_.num_nodes()) {
     throw holms::InvalidArgument("SwapEvaluator: mapping size mismatch");
@@ -412,11 +407,10 @@ void SwapEvaluator::rebuild() {
   energy_j_ = 0.0;
   for (const auto& e : g_.edges()) {
     const TileId src = m_[e.src], dst = m_[e.dst];
-    energy_j_ += energy_.transfer_energy(e.volume_bits, routes_->hops(src, dst));
+    energy_j_ += energy_.transfer_energy(e.volume_bits, routes_.hops(src, dst));
     const double bw = e.bandwidth_bps > 0.0 ? e.bandwidth_bps : e.volume_bits;
-    for (const std::uint32_t link : routes_->links(src, dst)) {
-      link_load_[link] += bw;
-    }
+    routes_.for_each_link(src, dst,
+                          [&](std::uint32_t link) { link_load_[link] += bw; });
   }
   max_load_ = link_load_.empty()
                   ? 0.0
@@ -447,23 +441,23 @@ double SwapEvaluator::cost() {
 }
 
 void SwapEvaluator::add_route_load(TileId src, TileId dst, double bw) {
-  for (const std::uint32_t link : routes_->links(src, dst)) {
+  routes_.for_each_link(src, dst, [&](std::uint32_t link) {
     double& load = link_load_[link];
     undo_links_.emplace_back(link, load);
     load += bw;
     if (!max_dirty_ && load > max_load_) max_load_ = load;
-  }
+  });
 }
 
 void SwapEvaluator::sub_route_load(TileId src, TileId dst, double bw) {
-  for (const std::uint32_t link : routes_->links(src, dst)) {
+  routes_.for_each_link(src, dst, [&](std::uint32_t link) {
     double& load = link_load_[link];
     undo_links_.emplace_back(link, load);
     // Decrementing the busiest link dethrones the cached maximum; rescan
     // lazily on the next cost() instead of per adjustment.
     if (load == max_load_) max_dirty_ = true;
     load -= bw;
-  }
+  });
 }
 
 void SwapEvaluator::begin_move() {
@@ -503,8 +497,8 @@ void SwapEvaluator::swap_step(TileId a, TileId b) {
     const TileId ns = tile_after(e.src), nd = tile_after(e.dst);
     if (os == ns && od == nd) return;  // both endpoints moved in lockstep
     delta_vol_.push_back(e.volume_bits);
-    delta_old_hops_.push_back(static_cast<double>(routes_->hops(os, od)));
-    delta_new_hops_.push_back(static_cast<double>(routes_->hops(ns, nd)));
+    delta_old_hops_.push_back(static_cast<double>(routes_.hops(os, od)));
+    delta_new_hops_.push_back(static_cast<double>(routes_.hops(ns, nd)));
     if (track_loads) {
       const double bw =
           e.bandwidth_bps > 0.0 ? e.bandwidth_bps : e.volume_bits;

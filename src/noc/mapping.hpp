@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -94,11 +93,9 @@ struct SaOptions {
   std::size_t reheat_after = 0;
   double reheat_factor = 8.0;
 
-  /// Optional precomputed route table for the target mesh, shared read-only
-  /// across concurrent SA runs.  The table is O(tiles^2 * mean_hops) — ~90 MB
-  /// at 32x32 — so the explorers build exactly one and hand it to every
-  /// restart / island instead of letting each SwapEvaluator rebuild its own.
-  /// nullptr = the evaluator builds (and owns) a private table.
+  /// Optional route table for the target mesh.  The table is O(tiles)
+  /// coordinates, so the evaluator copies it; nullptr = it builds its own.
+  /// Nothing is gained by passing one.
   const XyRouteTable* routes = nullptr;
 
   /// Contract rule C001; called by sa_mapping.
@@ -145,20 +142,21 @@ MoveDesc sample_move(sim::Rng& rng, const SaOptions& opts, std::size_t tiles,
 /// O(deg(a) + deg(b)) swap moves.  Maintains the per-link load table, the
 /// running communication energy and the busiest-link load for a mapping, and
 /// updates all three by touching only the edges incident to the two swapped
-/// tiles (routes come from a precomputed XyRouteTable).  apply_swap snapshots
-/// every value it mutates, so revert_move restores the pre-move state
-/// *bitwise* — rejected moves (the vast majority, late in an SA schedule)
-/// leave no floating-point residue.  Accepted moves accumulate one rounding
-/// step each; the equivalence suite in tests/test_hotpath.cpp pins the drift
-/// against full re-evaluation to < 1e-9 over 10k+ move sequences.
+/// tiles (an XyRouteTable enumerates their routes arithmetically).
+/// apply_swap snapshots every value it mutates, so revert_move restores the
+/// pre-move state *bitwise* — rejected moves (the vast majority, late in an
+/// SA schedule) leave no floating-point residue.  Accepted moves accumulate
+/// one rounding step each; the equivalence suite in tests/test_hotpath.cpp
+/// pins the drift against full re-evaluation to < 1e-9 over 10k+ move
+/// sequences.
 class SwapEvaluator {
  public:
   /// Marker for "no core on this tile" in occupant().
   static constexpr std::size_t kEmpty = static_cast<std::size_t>(-1);
 
-  /// `shared_routes` (optional) is a caller-owned XyRouteTable for `mesh`,
-  /// shared read-only across evaluators; nullptr builds a private table.
-  /// Throws holms::InvalidArgument when the table's tile count mismatches.
+  /// `shared_routes` (optional) is a caller-built XyRouteTable for `mesh`,
+  /// which the evaluator copies; nullptr builds one from `mesh`.  Throws
+  /// holms::InvalidArgument when the table was built for another mesh shape.
   SwapEvaluator(const AppGraph& g, const Mesh2D& mesh,
                 const EnergyModel& energy, Mapping m,
                 double link_capacity_bps = 0.0,
@@ -216,8 +214,7 @@ class SwapEvaluator {
   double capacity_;
   double penalty_;
 
-  std::optional<XyRouteTable> owned_routes_;  // absent when sharing
-  const XyRouteTable* routes_;                // table in use (owned or shared)
+  XyRouteTable routes_;
   // Incident-occurrence CSR: for each core, the edges touching it, encoded
   // as edge_index * 2 + (1 if the core is the edge's src endpoint).
   std::vector<std::uint32_t> inc_offsets_;

@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
-#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -109,8 +108,9 @@ class Mesh2D {
   std::size_t num_links() const { return num_tiles() * 4; }
 
   /// Dense index of the directed link leaving `from` in direction `d`
-  /// (d != kLocal).  Shared by evaluate_mapping and the route table so link
-  /// loads computed by either agree slot for slot.
+  /// (d != kLocal).  XyRouteTable enumerates the same indices arithmetically,
+  /// so link loads computed by evaluate_mapping and SwapEvaluator agree slot
+  /// for slot.
   std::size_t link_index(TileId from, Dir d) const {
     return from * 4 + (static_cast<std::size_t>(d) - 1);
   }
@@ -143,56 +143,73 @@ class Mesh2D {
   std::size_t h_;
 };
 
-/// Precomputed XY routes for every (src, dst) tile pair, stored as spans of
-/// directed-link indices (CSR layout over the pair index src*T+dst).  Walking
-/// a route via xy_next/neighbor costs a div/mod pair per hop; the table
-/// reduces it to a contiguous span load, which is what makes delta-cost
-/// mapping moves O(hops) with a tiny constant.  Memory is O(T^2 * mean_hops)
-/// — fine for the on-chip meshes this library targets (T <= a few hundred).
+/// XY routes by arithmetic.  An XY route runs along the source row to the
+/// destination column, then along that column to the destination, and
+/// Mesh2D::link_index is affine along each run: stride +-4 per X hop and
+/// +-4w per Y hop.  So a route's links follow from its endpoints'
+/// coordinates and nothing per route is stored.  The per-tile coordinate
+/// array (O(tiles)) spares the SA delta path the div/mod pair that
+/// Mesh2D::x_of/y_of cost on every lookup.
 class XyRouteTable {
  public:
-  explicit XyRouteTable(const Mesh2D& mesh) : tiles_(mesh.num_tiles()) {
-    offsets_.reserve(tiles_ * tiles_ + 1);
-    offsets_.push_back(0);
-    // Total route length = sum of hop counts; reserve exactly.
-    std::size_t total = 0;
-    for (TileId s = 0; s < tiles_; ++s)
-      for (TileId d = 0; d < tiles_; ++d) total += mesh.hops(s, d);
-    links_.reserve(total);
-    for (TileId s = 0; s < tiles_; ++s) {
-      for (TileId d = 0; d < tiles_; ++d) {
-        TileId cur = s;
-        while (cur != d) {
-          const Dir dir = mesh.xy_next(cur, d);
-          links_.push_back(static_cast<std::uint32_t>(mesh.link_index(cur, dir)));
-          cur = mesh.neighbor(cur, dir);
-        }
-        offsets_.push_back(static_cast<std::uint32_t>(links_.size()));
-      }
+  explicit XyRouteTable(const Mesh2D& mesh)
+      : w_(mesh.width()), xy_(mesh.num_tiles()) {
+    for (TileId t = 0; t < mesh.num_tiles(); ++t) {
+      xy_[t] = {static_cast<std::uint32_t>(mesh.x_of(t)),
+                static_cast<std::uint32_t>(mesh.y_of(t))};
     }
   }
 
-  /// Directed-link indices of the XY route src -> dst, in route order.
-  std::span<const std::uint32_t> links(TileId src, TileId dst) const {
-    const std::size_t p = src * tiles_ + dst;
-    return {links_.data() + offsets_[p],
-            links_.data() + offsets_[p + 1]};
+  /// Calls f(link) with each directed-link index of the XY route src -> dst,
+  /// in route order: the X run along the source row, then the Y run along
+  /// the destination column from the corner tile.
+  template <typename F>
+  void for_each_link(TileId src, TileId dst, F&& f) const {
+    const std::ptrdiff_t sx = xy_[src].x, sy = xy_[src].y;
+    const std::ptrdiff_t dx = xy_[dst].x, dy = xy_[dst].y;
+    const Dir xdir = dx > sx ? Dir::kEast : Dir::kWest;
+    const std::ptrdiff_t xstep = dx > sx ? 4 : -4;
+    std::ptrdiff_t link = link_at(src, xdir);
+    for (std::ptrdiff_t i = dx > sx ? dx - sx : sx - dx; i > 0; --i) {
+      f(static_cast<std::uint32_t>(link));
+      link += xstep;
+    }
+    const Dir ydir = dy > sy ? Dir::kSouth : Dir::kNorth;
+    const auto row = static_cast<std::ptrdiff_t>(4 * w_);
+    const std::ptrdiff_t ystep = dy > sy ? row : -row;
+    link = link_at(static_cast<TileId>(sy) * w_ + static_cast<TileId>(dx),
+                   ydir);
+    for (std::ptrdiff_t i = dy > sy ? dy - sy : sy - dy; i > 0; --i) {
+      f(static_cast<std::uint32_t>(link));
+      link += ystep;
+    }
   }
 
-  /// Hop count (route length) — same value as Mesh2D::hops, table lookup.
+  /// Hop count (route length) — same value as Mesh2D::hops.
   std::size_t hops(TileId src, TileId dst) const {
-    const std::size_t p = src * tiles_ + dst;
-    return offsets_[p + 1] - offsets_[p];
+    const Coord s = xy_[src], d = xy_[dst];
+    return (s.x > d.x ? s.x - d.x : d.x - s.x) +
+           (s.y > d.y ? s.y - d.y : d.y - s.y);
   }
 
-  /// Number of tiles the table was built for (mesh-compatibility checks when
-  /// one table is shared across SA runs).
-  std::size_t tiles() const { return tiles_; }
+  /// True when the table was built for a mesh of `mesh`'s shape.
+  bool built_for(const Mesh2D& mesh) const {
+    return w_ == mesh.width() && xy_.size() == mesh.num_tiles();
+  }
 
  private:
-  std::size_t tiles_;
-  std::vector<std::uint32_t> offsets_;  // pair index -> start in links_
-  std::vector<std::uint32_t> links_;
+  // Mesh2D::link_index, signed for the run arithmetic.
+  static std::ptrdiff_t link_at(TileId from, Dir d) {
+    return static_cast<std::ptrdiff_t>(from * 4 +
+                                       (static_cast<std::size_t>(d) - 1));
+  }
+
+  struct Coord {
+    std::uint32_t x;  // column
+    std::uint32_t y;  // row
+  };
+  std::size_t w_;
+  std::vector<Coord> xy_;  // tile -> coordinates
 };
 
 /// Bit-energy model in the style of Hu–Marculescu [20][23]:

@@ -76,8 +76,12 @@ double ChannelTrace::next_capacity_bps() {
 
 namespace {
 
-double psnr_at_rate(const FgsConfig& cfg, double decoded_bps) {
-  if (decoded_bps < cfg.base_layer_bps) {
+/// `base_complete` is decided in bits by the caller: decoded_bps is
+/// decodable_bits / slot_s, which rounds below base_layer_bps for a fully
+/// delivered base layer at non-dyadic slot lengths (0.07, 0.14, 0.27 s).
+double psnr_at_rate(const FgsConfig& cfg, bool base_complete,
+                    double decoded_bps) {
+  if (!base_complete) {
     // Base layer incomplete: severe degradation, scaled by coverage.
     const double frac = decoded_bps / cfg.base_layer_bps;
     return cfg.psnr_base_db * std::max(0.3, frac);
@@ -196,9 +200,10 @@ void process_slots(std::span<const SlotInput> in, double* buf) {
     st.load.add(b.load_norm[i]);
     st.loss.add(s.loss);
     st.shed.add(b.shed[i]);
-    const double decoded_bps = b.decoded_bps[i];
-    if (decoded_bps < cfg.base_layer_bps) ++st.base_misses;
-    const double psnr = psnr_at_rate(cfg, decoded_bps);
+    const bool base_complete =
+        b.decodable_bits[i] >= cfg.base_layer_bps * cfg.slot_s;
+    if (!base_complete) ++st.base_misses;
+    const double psnr = psnr_at_rate(cfg, base_complete, b.decoded_bps[i]);
     st.psnr.add(psnr);
     st.min_psnr = std::min(st.min_psnr, psnr);
     st.loss_ewma = cfg.loss_ewma_alpha * s.loss +

@@ -197,21 +197,34 @@ TEST(ExplorerDeterminism, EvaluationCacheNeverChangesResults) {
   ExploreOptions opts;
   opts.restarts = 2;
   opts.sa.iterations = 1500;
-
-  opts.use_cache = false;
-  Rng cold_rng(9);
-  const ExploreResult cold = explore(app, plat, cold_rng, opts);
-
-  opts.use_cache = true;
   EvalCache cache;
   opts.cache = &cache;
-  Rng warm_rng(9);
-  const ExploreResult warm1 = explore(app, plat, warm_rng, opts);
-  Rng warm_rng2(9);
-  const ExploreResult warm2 = explore(app, plat, warm_rng2, opts);
 
-  expect_identical(cold, warm1);
-  expect_identical(cold, warm2);       // fully-cached re-run: same answer
+  Rng cold_rng(9);
+  const ExploreResult cold = explore(app, plat, cold_rng, opts);
+  Rng warm_rng(9);
+  const ExploreResult warm = explore(app, plat, warm_rng, opts);
+
+  // Every returned candidate prices bitwise as a direct evaluation does,
+  // whether its Evaluation came from a cache miss or a hit.
+  const auto expect_direct = [&](const DesignCandidate& c) {
+    const Evaluation direct =
+        evaluate_design(app, plat, c.mapping, c.use_dvs);
+    EXPECT_EQ(c.eval.total_energy_j, direct.total_energy_j);
+    EXPECT_EQ(c.eval.average_power_w, direct.average_power_w);
+    EXPECT_EQ(c.eval.schedule.makespan_s, direct.schedule.makespan_s);
+    EXPECT_EQ(c.eval.comm.comm_energy_j, direct.comm.comm_energy_j);
+    EXPECT_EQ(c.eval.comm.max_link_load_bps, direct.comm.max_link_load_bps);
+    EXPECT_EQ(c.eval.feasible, direct.feasible);
+  };
+  for (const ExploreResult* r : {&cold, &warm}) {
+    ASSERT_TRUE(r->found_feasible);
+    ASSERT_FALSE(r->pareto.empty());
+    expect_direct(r->best);
+    for (const DesignCandidate& c : r->pareto) expect_direct(c);
+  }
+
+  expect_identical(cold, warm);        // fully-cached re-run: same answer
   EXPECT_GT(cache.hits(), 0u);         // second run hit the cache
   EXPECT_GT(cache.misses(), 0u);
   EXPECT_EQ(cache.size(), cache.misses());

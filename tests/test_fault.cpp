@@ -458,6 +458,40 @@ TEST(FgsFault, GracefulRecoversWhenChannelHeals) {
   EXPECT_EQ(r.base_layer_misses, 0u);
 }
 
+TEST(FgsFault, RepairedSlotsHoldBasePsnrAtNonDyadicSlotLength) {
+  // At slot_s = 0.27, (256e3 * 0.27) / 0.27 rounds below 256e3 in double, so
+  // a slot that decodes exactly the base layer is only recognised as
+  // base-complete when the check is made in bits.  90% loss drives the loss
+  // EWMA past base_only_loss_threshold, so the first slots after the repair
+  // send the base layer alone; the channel is lossless by then, so every
+  // post-repair slot must decode its base layer in full.
+  holms::streaming::FgsConfig cfg;
+  cfg.slot_s = 0.27;
+  const std::size_t slots = 400, repair_slot = 200;
+  const auto sched = FaultSchedule::from_trace({
+      {0.0, FaultKind::kFail, Target::kLink, 0},
+      {static_cast<double>(repair_slot) * cfg.slot_s, FaultKind::kRepair,
+       Target::kLink, 0},
+  });
+  holms::dvfs::Processor cpu(holms::dvfs::xscale_points(),
+                             holms::dvfs::PowerModel{});
+  holms::streaming::ChannelTrace ch(Rng(42));
+  holms::streaming::SlotLossTrace loss(&sched, cfg.slot_s, 0.0, 0.9);
+  holms::streaming::FgsSessionFom fom(
+      holms::streaming::FgsPolicy::kGracefulDegradation, cfg, cpu, ch, slots,
+      &loss);
+  std::size_t checked = 0;
+  while (!fom.done()) {
+    const std::size_t slot = fom.slots_done();
+    fom.step();
+    if (fom.slots_done() > slot && slot > repair_slot) {
+      ++checked;
+      EXPECT_GE(fom.last_psnr_db(), cfg.psnr_base_db) << "slot " << slot;
+    }
+  }
+  EXPECT_EQ(checked, slots - repair_slot - 1);
+}
+
 TEST(FgsFault, GracefulSessionIsDeterministic) {
   const auto sched = FaultSchedule::from_trace(
       {{0.0, FaultKind::kFail, Target::kLink, 0}});

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -111,23 +112,51 @@ TEST(SwapEvaluator, TracksFullCostRandomGraphRectangularMesh) {
 }
 
 TEST(XyRouteTable, MatchesMeshRoutes) {
+  // Width-1 and height-1 meshes have routes with no X run or no Y run.
   for (const auto& dims : {std::pair<std::size_t, std::size_t>{4, 4},
-                           std::pair<std::size_t, std::size_t>{5, 3}}) {
+                           std::pair<std::size_t, std::size_t>{5, 3},
+                           std::pair<std::size_t, std::size_t>{1, 8},
+                           std::pair<std::size_t, std::size_t>{8, 1},
+                           std::pair<std::size_t, std::size_t>{7, 5},
+                           std::pair<std::size_t, std::size_t>{32, 32}}) {
     const noc::Mesh2D mesh(dims.first, dims.second);
     const noc::XyRouteTable table(mesh);
+    ASSERT_TRUE(table.built_for(mesh));
+    std::vector<std::uint32_t> links, expected;
     for (noc::TileId s = 0; s < mesh.num_tiles(); ++s) {
       for (noc::TileId d = 0; d < mesh.num_tiles(); ++d) {
         ASSERT_EQ(table.hops(s, d), mesh.hops(s, d));
-        const auto route = mesh.xy_route(s, d);
-        const auto links = table.links(s, d);
-        ASSERT_EQ(links.size(), route.size() - 1);
-        for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-          const noc::Dir dir = mesh.xy_next(route[i], d);
-          ASSERT_EQ(links[i], mesh.link_index(route[i], dir));
+        links.clear();
+        table.for_each_link(s, d, [&](std::uint32_t l) { links.push_back(l); });
+        expected.clear();
+        for (noc::TileId cur = s; cur != d;) {
+          const noc::Dir dir = mesh.xy_next(cur, d);
+          expected.push_back(
+              static_cast<std::uint32_t>(mesh.link_index(cur, dir)));
+          cur = mesh.neighbor(cur, dir);
         }
+        ASSERT_EQ(links, expected) << dims.first << "x" << dims.second
+                                   << " route " << s << " -> " << d;
       }
     }
   }
+}
+
+TEST(SwapEvaluator, RejectsRouteTableBuiltForAnotherMesh) {
+  const auto g = noc::mms_graph();
+  const noc::EnergyModel em;
+  const noc::Mesh2D mesh(4, 4);
+  const noc::Mapping m = noc::greedy_mapping(g, mesh, em);
+  // 2x8 has 4x4's tile count but another row width, so its routes differ.
+  for (const auto& dims : {std::pair<std::size_t, std::size_t>{5, 3},
+                           std::pair<std::size_t, std::size_t>{2, 8}}) {
+    const noc::XyRouteTable other(noc::Mesh2D(dims.first, dims.second));
+    EXPECT_THROW(noc::SwapEvaluator(g, mesh, em, m, 0.0, 2.0, &other),
+                 holms::InvalidArgument)
+        << dims.first << "x" << dims.second;
+  }
+  const noc::XyRouteTable same(mesh);
+  EXPECT_NO_THROW(noc::SwapEvaluator(g, mesh, em, m, 0.0, 2.0, &same));
 }
 
 // ---------------------------------------------------------------------------
@@ -289,6 +318,109 @@ TEST(SaMapping, DebugFullEvalReachesSameQuality) {
   // trajectory except where an accept decision flips inside the ~1e-12
   // incremental/full gap.  Quality must be indistinguishable.
   EXPECT_NEAR(ci, cf, 0.02 * cf);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pins: FNV-1a over the exact bits of SA and explore() results on
+// link-capped meshes, where the overload penalty and the per-link loads
+// steer the search.  Any change to route enumeration or load bookkeeping
+// must reproduce them bitwise, not merely within a tolerance.  The hashes
+// assume IEEE-754 doubles and the x86-64/glibc libm that computed them.
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a_words(const std::vector<std::uint64_t>& words) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t w : words) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (w >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::uint64_t double_bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// The mapping's tiles, then its comm energy and busiest-link load.
+std::uint64_t sa_pin(const noc::AppGraph& g, const noc::Mesh2D& mesh,
+                     const noc::EnergyModel& em, const noc::Mapping& m) {
+  std::vector<std::uint64_t> words(m.begin(), m.end());
+  const noc::MappingEval ev = noc::evaluate_mapping(g, mesh, em, m);
+  words.push_back(double_bits(ev.comm_energy_j));
+  words.push_back(double_bits(ev.max_link_load_bps));
+  return fnv1a_words(words);
+}
+
+TEST(GoldenPins, SaMixedMovesOnCappedMeshes) {
+  noc::SaOptions opts;
+  opts.w_swap = 0.6;
+  opts.w_segment_reversal = 0.1;
+  opts.w_cluster_relocate = 0.3;
+  opts.initial_temperature = 0.02;
+  const noc::EnergyModel em;
+  {
+    // 40 tasks on 8x8, capped at 60% of the greedy seed's busiest link
+    // (4.0 Mbps).
+    sim::Rng grng(61);
+    const auto g = noc::random_graph(40, grng, 5e5);
+    const noc::Mesh2D mesh(8, 8);
+    opts.iterations = 8000;
+    opts.link_capacity_bps = 2.4e6;
+    sim::Rng rng(71);
+    const auto m = noc::sa_mapping(g, mesh, em, rng, opts);
+    EXPECT_EQ(sa_pin(g, mesh, em, m), 0x5405591276960e89ULL) << "8x8";
+  }
+  {
+    // The 202-task surveillance farm on 32x32 at 240 Mbps, ~60% of the
+    // greedy seed's busiest link (402 Mbps).
+    const auto g = noc::surveillance_farm_graph(46);
+    const noc::Mesh2D mesh(32, 32);
+    opts.iterations = 20000;
+    opts.link_capacity_bps = 2.4e8;
+    sim::Rng rng(72);
+    const auto m = noc::sa_mapping(g, mesh, em, rng, opts);
+    EXPECT_EQ(sa_pin(g, mesh, em, m), 0x1bf99b094d81fa42ULL) << "32x32";
+  }
+}
+
+TEST(GoldenPins, ExploreTwoRestartsOnCapped16x16) {
+  // 57-task farm on 16x16 with the link budget at 100 Mbps, below the
+  // greedy seed's busiest link (120 Mbps), so the seed is infeasible and only
+  // SA restarts find designs.  NoC energies x100 so communication dominates
+  // the price, as in bench_explore_parallel's farm platform.
+  core::Application app;
+  app.graph = noc::surveillance_farm_graph(12);
+  app.qos.period_s = 2.0;
+  core::Platform plat = core::Platform::homogeneous(16, 16);
+  plat.noc_energy.e_router_pj *= 100.0;
+  plat.noc_energy.e_link_pj *= 100.0;
+  plat.noc_energy.e_buffer_pj *= 100.0;
+  plat.link_bandwidth_bps = 1e8;
+  core::ExploreOptions opts;
+  opts.restarts = 2;
+  opts.sa.iterations = 3000;
+  opts.sa.initial_temperature = 0.02;
+  opts.sa.w_cluster_relocate = 0.3;
+  sim::Rng rng(9);
+  const core::ExploreResult r = core::explore(app, plat, rng, opts);
+
+  std::vector<std::uint64_t> front;
+  for (const core::DesignCandidate& c : r.pareto) {
+    front.push_back(core::mapping_digest(c.mapping));
+    front.push_back(c.use_dvs ? 1 : 0);
+    front.push_back(double_bits(c.eval.total_energy_j));
+    front.push_back(double_bits(c.eval.schedule.makespan_s));
+  }
+  ASSERT_TRUE(r.found_feasible);
+  EXPECT_EQ(double_bits(r.best.eval.total_energy_j), 0x400d1bcd79700371ULL);
+  EXPECT_EQ(core::mapping_digest(r.best.mapping), 0x06f91f3cf5f2edc1ULL);
+  EXPECT_EQ(fnv1a_words(front), 0xcdbc1b0ce28ebb6eULL);
+  EXPECT_EQ(r.pareto.size(), 2u);
+  EXPECT_EQ(r.evaluated, 10u);
 }
 
 // ---------------------------------------------------------------------------
