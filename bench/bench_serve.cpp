@@ -5,8 +5,12 @@
 // and measures sustained FOM-step throughput, per-event dispatch latency
 // (p50/p99/p999 over wall-clock slices) and the determinism contract: the
 // aggregate report fingerprint must be bitwise identical across thread
-// counts and across repeat runs.  Emits BENCH_serve.json, gated by the
-// "serve" section of bench/thresholds.json:
+// counts and across repeat runs.  The unsliced runs step each locality's
+// uniform FGS cohort in SIMD waves and leave only the MPEG-2 decoders on
+// the DES kernel; the sliced latency run keeps every session on the DES.
+// The headline run's path split is printed and reported as
+// serve_wave_localities / serve_des_localities.  Emits BENCH_serve.json,
+// gated by the "serve" section of bench/thresholds.json:
 //   serve_concurrent_sessions  >= 10000  (admitted sessions in the fleet)
 //   serve_thread_invariant     >= 1.0    (threads=1 fp == threads=hw fp)
 //   serve_bitwise_reproducible >= 1.0    (repeat run fp identical)
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/metrics.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/schedule.hpp"
 #include "serve/service.hpp"
@@ -103,7 +108,18 @@ int main() {
       hw_run.slot_psnr_db.p50(), hw_run.slot_psnr_db.p99(),
       hw_run.slot_psnr_db.quantile(0.01), hw_run.session_energy_j.mean(),
       static_cast<unsigned long long>(hw_run.mpeg2_frames_out));
+  // The headline run is the first run(), so the path counters hold its
+  // localities alone.
+  const std::uint64_t wave_localities =
+      report.registry().counter("serve.wave_localities").value();
+  const std::uint64_t des_localities =
+      report.registry().counter("serve.des_localities").value();
+  std::printf("localities: %llu wave (FGS cohort batched), %llu DES-only\n",
+              static_cast<unsigned long long>(wave_localities),
+              static_cast<unsigned long long>(des_localities));
   report.set("serve_concurrent_sessions", static_cast<double>(admitted));
+  report.set("serve_wave_localities", static_cast<double>(wave_localities));
+  report.set("serve_des_localities", static_cast<double>(des_localities));
   report.set("serve_events_per_s", events_per_s);
   report.set("serve_sessions_per_core",
              static_cast<double>(admitted) / static_cast<double>(hw));

@@ -7,6 +7,7 @@
 
 #include "dvfs/dvfs.hpp"
 #include "exec/error.hpp"
+#include "exec/metrics.hpp"
 #include "exec/rng_stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "serve/fom.hpp"
@@ -260,11 +261,13 @@ void ServiceManager::pump_mpeg2(Locality& loc, Mpeg2Session& s) {
   loc.sim.schedule_at(when, [this, &loc, &s] { pump_mpeg2(loc, s); });
 }
 
-// Wave scheduler: the homogeneous-FGS fast path.  When a locality hosts only
-// FGS sessions with one common slot length and nothing observes intermediate
-// time (no slicing, no dispatch quantum), the DES degenerates to lockstep
+// Wave scheduler: the uniform-FGS fast path.  When a locality's FGS sessions
+// share one slot length and nothing observes intermediate time (no slicing,
+// no dispatch quantum), their share of the DES degenerates to lockstep
 // waves: every live session fires at t = 0, slot_s, 2*slot_s, ... in
-// admission order.  Replaying that schedule directly — one step_batch call
+// admission order.  MPEG-2 sessions in the same locality stay on its
+// kernel; mixed slot lengths, slicing or a quantum keep the whole locality
+// on the DES.  Replaying that schedule directly — one step_batch call
 // per wave — produces the identical event count, the identical per-session
 // arithmetic (the batch kernel is elementwise) and the identical
 // statistics-insertion order, so the ServeReport fingerprint matches the
@@ -319,24 +322,27 @@ void ServiceManager::run_locality_waves(Locality& loc, double horizon,
 void ServiceManager::run_locality(Locality& loc, std::size_t index,
                                   double horizon, double slice_s,
                                   const SliceObserver& observer) {
-  if (slice_s <= 0.0 && opt_.dispatch_quantum_s <= 0.0 && loc.mpeg2.empty() &&
-      !loc.fgs.empty()) {
-    const double slot_s = loc.fgs.front()->fom.slot_s();
-    bool uniform = slot_s > 0.0;
-    for (const std::unique_ptr<FgsSession>& s : loc.fgs) {
-      uniform = uniform && s->fom.slot_s() == slot_s;
-    }
-    if (uniform) {
-      run_locality_waves(loc, horizon, slot_s);
-      return;
-    }
+  const double slot_s = loc.fgs.empty() ? 0.0 : loc.fgs.front()->fom.slot_s();
+  bool waves =
+      slice_s <= 0.0 && opt_.dispatch_quantum_s <= 0.0 && slot_s > 0.0;
+  for (const std::unique_ptr<FgsSession>& s : loc.fgs) {
+    waves = waves && s->fom.slot_s() == slot_s;
   }
-  // Arm every session's first step at t=0 in admission order; the kernel's
-  // same-timestamp batching then dispatches each wave of aligned slots as
-  // one cohort in insertion order.
-  for (std::unique_ptr<FgsSession>& s : loc.fgs) {
-    FgsSession* p = s.get();
-    loc.sim.schedule_at(0.0, [this, &loc, p] { pump_fgs(loc, *p); });
+  exec::count(waves ? "serve.wave_localities" : "serve.des_localities");
+  if (waves) {
+    // FGS sessions share no state with the MPEG-2 sessions or the kernel,
+    // and the kernel breaks timestamp ties in insertion order, so stepping
+    // the cohort first leaves both sides' event orders unchanged.
+    run_locality_waves(loc, horizon, slot_s);
+    if (loc.mpeg2.empty()) return;
+  } else {
+    // Arm every session's first step at t=0 in admission order; the
+    // kernel's same-timestamp batching then dispatches each wave of aligned
+    // slots as one cohort in insertion order.
+    for (std::unique_ptr<FgsSession>& s : loc.fgs) {
+      FgsSession* p = s.get();
+      loc.sim.schedule_at(0.0, [this, &loc, p] { pump_fgs(loc, *p); });
+    }
   }
   for (std::unique_ptr<Mpeg2Session>& s : loc.mpeg2) {
     Mpeg2Session* p = s.get();

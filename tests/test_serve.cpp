@@ -1,15 +1,19 @@
 // Tests for holms::serve (DESIGN.md §5h): legacy-vs-FOM bitwise equivalence
 // for FGS and MPEG-2 sessions, ServiceManager thread-count invariance,
-// admission control, and fault-driven load shedding.
+// wave-vs-DES path equivalence, admission control, and fault-driven load
+// shedding.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <vector>
 
 #include "dvfs/dvfs.hpp"
 #include "exec/error.hpp"
+#include "exec/metrics.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/schedule.hpp"
 #include "serve/service.hpp"
@@ -224,6 +228,11 @@ TEST(Serve, AggregateReportIsThreadCountInvariant) {
 
   // And a different seed is a genuinely different service.
   EXPECT_NE(run_mixed_service(1, 100).fingerprint(), base.fingerprint());
+
+  // Recorded when every locality hosting MPEG-2 ran on the DES alone: the
+  // FGS cohort's waves must reproduce that code's report, not just agree
+  // with themselves.
+  EXPECT_EQ(base.fingerprint(), 0x8783c80a0ff00ccbull);
 }
 
 // A homogeneous FGS-only service (no slicing, no quantum) takes the wave
@@ -264,6 +273,127 @@ TEST(Serve, WaveSchedulerMatchesEventDrivenPathBitwise) {
               wave.fingerprint())
         << threads << " threads";
   }
+}
+
+// The mixed fleet under fire: two MPEG-2 decoders in every locality, the
+// 3-policy FGS mix, per-locality Poisson node faults and a watermark below
+// the offered load, so late admissions are degraded.  With
+// `two_slot_locality`, every other FGS session of locality 0 streams
+// 0.25-s slots, so that locality's cohort has two slot lengths.
+ServeReport run_faulted_mixed_service(std::size_t threads, double slice_s,
+                                      bool two_slot_locality = false) {
+  constexpr std::size_t kLocalities = 4;
+  constexpr std::size_t kMpeg2 = 2 * kLocalities;
+  constexpr double kHorizon = 30.0;
+  holms::fault::FaultSchedule::PoissonSpec spec;
+  spec.target = holms::fault::Target::kNode;
+  spec.num_targets = kLocalities;
+  spec.fail_rate = 1.0 / 8.0;
+  spec.repair_rate = 1.0 / 3.0;
+  spec.horizon = kHorizon;
+  const holms::fault::FaultSchedule faults =
+      holms::fault::FaultSchedule::poisson(31, spec);
+
+  ServeOptions o;
+  o.localities = kLocalities;
+  o.threads = threads;
+  o.max_sessions = 200;
+  o.degrade_watermark = 0.5;
+  o.fault_loss = 0.35;
+  o.seed = 17;
+  ServiceManager m(o);
+  m.attach_fault_schedule(&faults);
+  // MPEG-2 first: ids 0..7 put two decoder networks on every locality.
+  const holms::stream::Mpeg2Config mcfg;
+  const holms::traffic::VideoTraceGenerator::Params vp;
+  for (std::size_t i = 0; i < kMpeg2; ++i) {
+    m.add_mpeg2_session(mcfg, vp, 240);
+  }
+  const FgsConfig cfg;
+  FgsConfig short_slots;
+  short_slots.slot_s = 0.25;
+  const FgsPolicy policies[] = {FgsPolicy::kNonAdaptive,
+                                FgsPolicy::kClientFeedback,
+                                FgsPolicy::kGracefulDegradation};
+  for (std::size_t i = 0; i < 120; ++i) {
+    const std::size_t id = kMpeg2 + i;
+    const bool short_slot = two_slot_locality && id % kLocalities == 0 &&
+                            (id / kLocalities) % 2 == 1;
+    m.add_fgs_session(policies[i % 3], short_slot ? short_slots : cfg, 40);
+  }
+  return m.run(kHorizon, slice_s);
+}
+
+void expect_same_report(const ServeReport& a, const ServeReport& b) {
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_EQ(a.session_psnr_db.mean(), b.session_psnr_db.mean());
+  EXPECT_EQ(a.session_energy_j.sum(), b.session_energy_j.sum());
+  EXPECT_EQ(a.mpeg2_frames_out, b.mpeg2_frames_out);
+}
+
+// With MPEG-2 in every locality, the unsliced run steps each uniform FGS
+// cohort in waves and leaves only the decoders on the kernel; a 1-s slice
+// forces the whole fleet through the DES.  Both must agree bitwise.
+TEST(Serve, MixedLocalityWavesMatchEventDrivenPathBitwise) {
+  const ServeReport waves = run_faulted_mixed_service(1, 0.0);
+  const ServeReport des = run_faulted_mixed_service(1, 1.0);
+  EXPECT_GT(waves.faults_in_window, 0u);
+  EXPECT_GT(waves.sessions_degraded, 0u);
+  EXPECT_GT(waves.mpeg2_frames_out, 0u);
+  EXPECT_EQ(waves.sessions_completed, 128u);
+  EXPECT_EQ(waves.slot_psnr_db.count(), 120u * 40u);
+  expect_same_report(waves, des);
+  // Recorded when this fleet ran on the DES alone.
+  EXPECT_EQ(waves.fingerprint(), 0x79f8ac93bab17b7full);
+
+  for (std::size_t threads : {std::size_t{2}, std::size_t{7},
+                              holms::exec::env_threads(3)}) {
+    SCOPED_TRACE(threads);
+    expect_same_report(run_faulted_mixed_service(threads, 0.0), waves);
+  }
+
+  // Two slot lengths keep locality 0 on the DES; the other three still take
+  // waves, and the whole fleet still matches its sliced run.
+  const ServeReport two_slot = run_faulted_mixed_service(1, 0.0, true);
+  EXPECT_NE(two_slot.fingerprint(), waves.fingerprint());
+  expect_same_report(two_slot, run_faulted_mixed_service(1, 1.0, true));
+  EXPECT_EQ(two_slot.fingerprint(), 0x7ac99154a9e99882ull);
+}
+
+// Each locality reports the path it took; in the mixed fleet only the
+// MPEG-2 decoders reach the DES kernel.
+TEST(Serve, CountsWhichPathEachLocalityTook) {
+  auto path_counts = [](const std::function<void()>& run) {
+    holms::exec::MetricsRegistry reg;
+    {
+      holms::exec::ScopedMetricsSink sink(reg);
+      run();
+    }
+    return std::array<std::uint64_t, 3>{
+        reg.counter("serve.wave_localities").value(),
+        reg.counter("serve.des_localities").value(),
+        reg.counter("sim.events_executed").value()};
+  };
+  const auto mixed = path_counts([] { run_mixed_service(1, 99); });
+  EXPECT_EQ(mixed[0], 5u);
+  EXPECT_EQ(mixed[1], 0u);
+  EXPECT_GT(mixed[2], 0u);  // the MPEG-2 decoder networks
+
+  const auto sliced = path_counts([] { run_faulted_mixed_service(1, 1.0); });
+  EXPECT_EQ(sliced[0], 0u);
+  EXPECT_EQ(sliced[1], 4u);
+  const auto faulted = path_counts([] { run_faulted_mixed_service(1, 0.0); });
+  EXPECT_EQ(faulted[0], 4u);
+  EXPECT_EQ(faulted[1], 0u);
+  // The waves take exactly the FGS steps (kInit + 40 slots per session)
+  // off the kernel.
+  EXPECT_EQ(sliced[2] - faulted[2], 120u * 41u);
+
+  const auto two_slot =
+      path_counts([] { run_faulted_mixed_service(1, 0.0, true); });
+  EXPECT_EQ(two_slot[0], 3u);
+  EXPECT_EQ(two_slot[1], 1u);
 }
 
 TEST(Serve, AdmissionCapRejectsBeyondMaxSessions) {
