@@ -106,7 +106,7 @@ int main() {
 
   holms::bench::rule();
   holms::bench::note("solver ablation on a 101-state birth-death chain:");
-  std::printf("%-18s %12s %12s\n", "method", "iterations", "ms");
+  std::printf("%-24s %12s %12s\n", "method", "iterations", "ms");
   holms::markov::ProducerConsumerModel big;
   big.producer_rate = 95.0;
   big.consumer_rate = 100.0;
@@ -116,7 +116,8 @@ int main() {
   const struct {
     const char* name;
     SM m;
-  } methods[] = {{"power-iteration", SM::kPowerIteration},
+  } methods[] = {{"product form (default)", SM::kAuto},
+                 {"power-iteration", SM::kPowerIteration},
                  {"gauss-seidel", SM::kGaussSeidel},
                  {"direct-LU", SM::kDirectLU}};
   for (const auto& meth : methods) {
@@ -124,7 +125,7 @@ int main() {
     o.method = meth.m;
     const auto t0 = Clock::now();
     const auto r = chain.steady_state(o);
-    std::printf("%-18s %12zu %12.3f\n", meth.name, r.iterations,
+    std::printf("%-24s %12zu %12.3f\n", meth.name, r.iterations,
                 ms_since(t0));
   }
   holms::bench::note(

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "markov/sparse.hpp"
@@ -20,53 +22,111 @@ void normalize(std::vector<double>& v) {
   for (double& x : v) x /= sum;
 }
 
-// Solves pi * A = 0 with sum(pi) = 1 by replacing the last column with the
-// normalization constraint and doing Gaussian elimination with partial
-// pivoting on the transposed system A^T x = e_n.
-std::vector<double> solve_direct(const Matrix& a) {
-  const std::size_t n = a.rows();
-  // Build M = A^T with last row replaced by ones; rhs = e_{n-1}.
+// PA = LU factorization with partial pivoting, factored once and applied to
+// many right-hand sides: the direct steady-state solve (one) and
+// absorbing_analysis (1 + |absorbing| on the same (I - Q)).  The multipliers
+// are stored in the eliminated below-diagonal slots, and solve() replays
+// exactly the operation sequence a fused elimination applies to b, so results
+// are bitwise those of eliminating per right-hand side.  `singular` is the
+// message thrown when a pivot vanishes.
+class LuFactors {
+ public:
+  LuFactors(Matrix a, const char* singular)
+      : lu_(std::move(a)), perm_(lu_.rows()) {
+    const std::size_t n = lu_.rows();
+    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+    for (std::size_t col = 0; col < n; ++col) {
+      std::size_t pivot = col;
+      double best = std::abs(lu_.at(perm_[col], col));
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double v = std::abs(lu_.at(perm_[r], col));
+        if (v > best) {
+          best = v;
+          pivot = r;
+        }
+      }
+      if (best < 1e-300) throw holms::RuntimeError(singular);
+      std::swap(perm_[col], perm_[pivot]);
+      const double diag = lu_.at(perm_[col], col);
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double factor = lu_.at(perm_[r], col) / diag;
+        lu_.at(perm_[r], col) = factor;  // L multiplier in the zeroed slot
+        if (factor == 0.0) continue;
+        for (std::size_t c = col + 1; c < n; ++c) {
+          lu_.at(perm_[r], c) -= factor * lu_.at(perm_[col], c);
+        }
+      }
+    }
+  }
+
+  std::vector<double> solve(std::vector<double> b) const {
+    const std::size_t n = lu_.rows();
+    // Forward: replay the eliminations on b.
+    for (std::size_t col = 0; col < n; ++col) {
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double factor = lu_.at(perm_[r], col);
+        if (factor == 0.0) continue;
+        b[perm_[r]] -= factor * b[perm_[col]];
+      }
+    }
+    // Back-substitution against U.
+    std::vector<double> x(n, 0.0);
+    for (std::size_t i = n; i-- > 0;) {
+      double acc = b[perm_[i]];
+      for (std::size_t c = i + 1; c < n; ++c) acc -= lu_.at(perm_[i], c) * x[c];
+      x[i] = acc / lu_.at(perm_[i], i);
+    }
+    return x;
+  }
+
+ private:
+  Matrix lu_;
+  std::vector<std::size_t> perm_;
+};
+
+// Solves pi * A = 0 with sum(pi) = 1 (kDirectLU): A is `rows` off the
+// diagonal and diag(r) on it.  Factors M = A^T with its last row replaced by
+// the normalization constraint and solves M x = e_n.
+SolveResult solve_direct(const SparseRows& rows,
+                         const std::function<double(std::size_t)>& diag) {
+  const std::size_t n = rows.size();
+  if (n == 0) return {};
   Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) m.at(i, j) = a.at(j, i);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const SparseEntry& e : rows.row(r)) {
+      if (e.col != r) m.at(e.col, r) = e.value;
+    }
+    m.at(r, r) = diag(r);
+  }
   for (std::size_t j = 0; j < n; ++j) m.at(n - 1, j) = 1.0;
   std::vector<double> rhs(n, 0.0);
   rhs[n - 1] = 1.0;
-
-  // Gaussian elimination with partial pivoting.
-  std::vector<std::size_t> perm(n);
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    double best = std::abs(m.at(perm[col], col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double v = std::abs(m.at(perm[r], col));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) throw holms::RuntimeError("singular chain matrix");
-    std::swap(perm[col], perm[pivot]);
-    const double diag = m.at(perm[col], col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = m.at(perm[r], col) / diag;
-      if (factor == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c)
-        m.at(perm[r], c) -= factor * m.at(perm[col], c);
-      rhs[perm[r]] -= factor * rhs[perm[col]];
-    }
-  }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = rhs[perm[i]];
-    for (std::size_t c = i + 1; c < n; ++c) acc -= m.at(perm[i], c) * x[c];
-    x[i] = acc / m.at(perm[i], i);
-  }
+  std::vector<double> x =
+      LuFactors(std::move(m), "singular chain matrix").solve(std::move(rhs));
   // Clamp tiny negatives from roundoff.
   for (double& v : x) v = std::max(v, 0.0);
   normalize(x);
-  return x;
+  return {std::move(x), 0, true};
+}
+
+// kAuto's scan: the product form when every off-diagonal entry of `rows` is
+// positive and next to the diagonal and every state above 0 can step down.
+std::optional<SolveResult> solve_if_birth_death(const SparseRows& rows,
+                                                const SolveOptions& opts) {
+  const std::size_t n = rows.size();
+  if (opts.method != SteadyStateMethod::kAuto || n == 0) return std::nullopt;
+  std::vector<double> up(n, 0.0), down(n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const SparseEntry& e : rows.row(r)) {
+      if (e.col == r) continue;
+      if (!(e.value > 0.0) || (e.col + 1 != r && e.col != r + 1)) {
+        return std::nullopt;
+      }
+      (e.col < r ? down : up)[r] = e.value;
+    }
+    if (r > 0 && down[r] == 0.0) return std::nullopt;
+  }
+  return SolveResult{birth_death_steady_state(up, down), 0, true};
 }
 
 // First entry of `row` whose column is >= c.
@@ -130,25 +190,14 @@ bool Dtmc::is_stochastic(double tol) const {
 
 SolveResult Dtmc::steady_state(const SolveOptions& opts) const {
   opts.validate();
-  const std::size_t n = size();
-  if (n == 0) return {};
-
-  if (opts.method == SteadyStateMethod::kDirectLU) {
-    // pi (P - I) = 0, densified for the O(n^3) elimination.
-    Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (const SparseEntry& e : p_.row(r)) a.at(r, e.col) = e.value;
-      a.at(r, r) -= 1.0;
-    }
-    SolveResult res;
-    res.distribution = solve_direct(a);
-    res.converged = true;
-    return res;
+  if (auto bd = solve_if_birth_death(p_, opts)) return std::move(*bd);
+  if (opts.method == SteadyStateMethod::kDirectLU) {  // pi (P - I) = 0
+    return solve_direct(p_, [&](std::size_t r) { return p_.get(r, r) - 1.0; });
   }
   const CsrMatrix p = CsrMatrix::from_rows(p_);
-  return opts.method == SteadyStateMethod::kPowerIteration
-             ? sparse_power_iteration(p, opts)
-             : sparse_gauss_seidel(p, opts);
+  return opts.method == SteadyStateMethod::kGaussSeidel
+             ? sparse_gauss_seidel(p, opts)
+             : sparse_power_iteration(p, opts);
 }
 
 std::vector<double> Dtmc::transient(std::span<const double> initial,
@@ -209,22 +258,58 @@ Dtmc Ctmc::uniformized(double* lambda_out) const {
 
 SolveResult Ctmc::steady_state(const SolveOptions& opts) const {
   opts.validate();
-  if (opts.method == SteadyStateMethod::kDirectLU) {
-    const std::size_t n = size();
-    Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (const SparseEntry& e : q_.row(r))
-        if (e.col != r) a.at(r, e.col) = e.value;
-      a.at(r, r) = -exit_rate(r);
-    }
-    SolveResult res;
-    res.distribution = solve_direct(a);
-    res.converged = true;
-    return res;
+  if (opts.method == SteadyStateMethod::kDirectLU) {  // pi Q = 0
+    return solve_direct(q_, [&](std::size_t r) { return -exit_rate(r); });
   }
+  if (auto bd = solve_if_birth_death(q_, opts)) return std::move(*bd);
   // Iterative methods work on the uniformized DTMC, which shares the CTMC's
-  // stationary distribution.
-  return uniformized().steady_state(opts);
+  // stationary distribution; kAuto falls back to power iteration there.
+  SolveOptions iterative = opts;
+  if (iterative.method == SteadyStateMethod::kAuto)
+    iterative.method = SteadyStateMethod::kPowerIteration;
+  return uniformized().steady_state(iterative);
+}
+
+std::vector<double> birth_death_steady_state(std::span<const double> birth,
+                                             std::span<const double> death) {
+  const std::size_t n = birth.size();
+  if (n == 0 || death.size() != n) {
+    throw holms::InvalidArgument("birth_death: need equal non-empty vectors");
+  }
+  // pi_{i+1} = pi_i * birth_i / death_{i+1}, term i standing for
+  // pi[i] * 2^scale[i].  A term that would overflow or go subnormal is
+  // recomputed from its predecessor's mantissa; power-of-two shifts are
+  // exact, so normal-range chains keep the plain recurrence's bits.
+  constexpr double kTiny = std::numeric_limits<double>::min();
+  const double kHuge = std::ldexp(1.0, 960);  // room to sum 2^60 terms
+  std::vector<double> pi(n);
+  std::vector<int> scale(n, 0);
+  bool rescaled = false;
+  pi[0] = 1.0;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (!(death[i + 1] > 0.0)) {
+      throw holms::InvalidArgument("birth_death: death rate must be > 0");
+    }
+    pi[i + 1] = pi[i] * birth[i] / death[i + 1];
+    if (pi[i + 1] != 0.0 && !(pi[i + 1] >= kTiny && pi[i + 1] <= kHuge)) {
+      int e = 0;
+      pi[i] = std::frexp(pi[i], &e);
+      scale[i] += e;
+      pi[i + 1] = pi[i] * birth[i] / death[i + 1];
+      rescaled = true;
+    }
+    scale[i + 1] = scale[i];
+  }
+  if (rescaled) {
+    // Onto the highest scale, whose first term is a mantissa >= 1/2: only
+    // terms that are subnormal next to it round away.
+    const int top = *std::max_element(scale.begin(), scale.end());
+    for (std::size_t i = 0; i < n; ++i) {
+      pi[i] = std::ldexp(pi[i], scale[i] - top);
+    }
+  }
+  normalize(pi);
+  return pi;
 }
 
 std::vector<double> Ctmc::transient(std::span<const double> initial, double t,
@@ -263,73 +348,6 @@ double expected_reward(std::span<const double> pi,
   return acc;
 }
 
-namespace {
-
-// PA = LU factorization with partial pivoting, factored once and applied to
-// many right-hand sides.  absorbing_analysis solves the same (I - Q) system
-// for 1 + |absorbing| RHS vectors; eliminating per call was O(k * t^3).  The
-// multipliers are stored in the eliminated below-diagonal slots, and solve()
-// replays exactly the operation sequence the old fused elimination applied to
-// b — results are bitwise identical to the pre-factorization code.
-class LuFactors {
- public:
-  explicit LuFactors(Matrix a) : lu_(std::move(a)), perm_(lu_.rows()) {
-    const std::size_t n = lu_.rows();
-    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-    for (std::size_t col = 0; col < n; ++col) {
-      std::size_t pivot = col;
-      double best = std::abs(lu_.at(perm_[col], col));
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double v = std::abs(lu_.at(perm_[r], col));
-        if (v > best) {
-          best = v;
-          pivot = r;
-        }
-      }
-      if (best < 1e-300) {
-        throw holms::RuntimeError("absorbing_analysis: singular system "
-                                 "(absorption unreachable from some state)");
-      }
-      std::swap(perm_[col], perm_[pivot]);
-      const double diag = lu_.at(perm_[col], col);
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double factor = lu_.at(perm_[r], col) / diag;
-        lu_.at(perm_[r], col) = factor;  // L multiplier in the zeroed slot
-        if (factor == 0.0) continue;
-        for (std::size_t c = col + 1; c < n; ++c) {
-          lu_.at(perm_[r], c) -= factor * lu_.at(perm_[col], c);
-        }
-      }
-    }
-  }
-
-  std::vector<double> solve(std::vector<double> b) const {
-    const std::size_t n = lu_.rows();
-    // Forward: replay the eliminations on b.
-    for (std::size_t col = 0; col < n; ++col) {
-      for (std::size_t r = col + 1; r < n; ++r) {
-        const double factor = lu_.at(perm_[r], col);
-        if (factor == 0.0) continue;
-        b[perm_[r]] -= factor * b[perm_[col]];
-      }
-    }
-    // Back-substitution against U.
-    std::vector<double> x(n, 0.0);
-    for (std::size_t i = n; i-- > 0;) {
-      double acc = b[perm_[i]];
-      for (std::size_t c = i + 1; c < n; ++c) acc -= lu_.at(perm_[i], c) * x[c];
-      x[i] = acc / lu_.at(perm_[i], i);
-    }
-    return x;
-  }
-
- private:
-  Matrix lu_;
-  std::vector<std::size_t> perm_;
-};
-
-}  // namespace
-
 AbsorbingResult absorbing_analysis(const Dtmc& chain,
                                    const std::vector<bool>& absorbing) {
   const std::size_t n = chain.size();
@@ -363,7 +381,8 @@ AbsorbingResult absorbing_analysis(const Dtmc& chain,
   }
   // One factorization serves the expected-steps system and every absorption
   // column (1 + a right-hand sides).
-  const LuFactors lu(std::move(iq));
+  const LuFactors lu(std::move(iq), "absorbing_analysis: singular system "
+                                    "(absorption unreachable from some state)");
   // Expected steps: (I - Q) tvec = 1.
   const std::vector<double> steps = lu.solve(std::vector<double>(t, 1.0));
   for (std::size_t r = 0; r < t; ++r) {

@@ -6,8 +6,10 @@
 //  several processes that operate and interact concurrently."  [7]
 //
 // HolMS provides discrete-time (DTMC) and continuous-time (CTMC) chains with
-// three interchangeable steady-state solvers, so the solver itself can be
-// ablated (DESIGN.md §6):
+// a structure-aware default solver and three explicit ones, so the solver
+// itself can be ablated (DESIGN.md §6):
+//   - auto (default)        a birth–death chain gets its exact product form
+//                           in O(n); any other chain gets power iteration
 //   - power iteration       robust, O(iters * nnz)
 //   - Gauss–Seidel          faster convergence on diagonally dominant systems
 //   - direct LU             exact (up to fp), O(n^3), small chains
@@ -70,10 +72,13 @@ class SparseRows {
   std::vector<std::vector<SparseEntry>> rows_;
 };
 
-enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU };
+/// kAuto solves a chain that one O(nnz) scan finds birth–death by its product
+/// form (birth_death_steady_state, iterations = 0), and any other chain by
+/// kPowerIteration, bit for bit.  The explicit methods never scan.
+enum class SteadyStateMethod { kPowerIteration, kGaussSeidel, kDirectLU, kAuto };
 
 struct SolveOptions {
-  SteadyStateMethod method = SteadyStateMethod::kPowerIteration;
+  SteadyStateMethod method = SteadyStateMethod::kAuto;
   std::size_t max_iterations = 200000;
   double tolerance = 1e-12;  // L1 change per sweep
 
@@ -145,6 +150,13 @@ class Ctmc {
  private:
   SparseRows q_;
 };
+
+/// Stationary distribution of the birth–death chain on states 0..n-1 by its
+/// product form in O(n), finite at any length.  `birth[i]` is the rate (or
+/// probability) i -> i+1 (birth[n-1] ignored), `death[i]` the one i -> i-1
+/// (death[0] ignored, every other one > 0).
+std::vector<double> birth_death_steady_state(std::span<const double> birth,
+                                             std::span<const double> death);
 
 /// Expected reward sum_i pi_i * reward(i): the paper's bridge from the
 /// stationary distribution to throughput / response time / power.

@@ -35,13 +35,14 @@ std::vector<double> mm1k_distribution(double lambda, double mu,
     for (double& x : pi) x = p;
     return pi;
   }
-  const double p0 =
-      (1.0 - rho) / (1.0 - std::pow(rho, static_cast<double>(k + 1)));
-  double acc = p0;
-  pi[0] = p0;
-  for (std::size_t n = 1; n <= k; ++n) {
-    acc *= rho;
-    pi[n] = acc;
+  // Geometric, built from the end whose terms shrink: for rho > 1 at large k,
+  // rho^(k+1) overflows, so pi is built down from pi[k] in powers of 1/rho.
+  const bool from_top = rho > 1.0;
+  const double r = from_top ? mu / lambda : rho;
+  double acc = (1.0 - r) / (1.0 - std::pow(r, static_cast<double>(k + 1)));
+  for (std::size_t n = 0; n <= k; ++n) {
+    pi[from_top ? k - n : n] = acc;
+    acc *= r;
   }
   return pi;
 }
@@ -75,29 +76,6 @@ QueueMetrics md1(double lambda, double service_time) {
                                      : service_time;
   m.throughput = lambda;
   return m;
-}
-
-std::vector<double> birth_death_steady_state(std::span<const double> birth,
-                                             std::span<const double> death) {
-  const std::size_t n = birth.size();
-  if (n == 0 || death.size() != n) {
-    throw holms::InvalidArgument("birth_death: need equal non-empty vectors");
-  }
-  // pi_{i+1} = pi_i * birth_i / death_{i+1}; accumulate in log-free form with
-  // running normalization to avoid overflow on long chains.
-  std::vector<double> pi(n, 0.0);
-  pi[0] = 1.0;
-  double sum = 1.0;
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (!(death[i + 1] > 0.0)) {
-      throw holms::InvalidArgument("birth_death: death rate must be > 0");
-    }
-    pi[i + 1] = pi[i] * birth[i] / death[i + 1];
-    // HOLMS_LINT_ALLOW(D006): birth-death recurrence normalizer; term i depends on term i-1
-    sum += pi[i + 1];
-  }
-  for (double& x : pi) x /= sum;
-  return pi;
 }
 
 Ctmc ProducerConsumerModel::to_ctmc() const {

@@ -8,7 +8,6 @@
 // experiment E2 (analysis vs simulation accuracy/runtime).
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "markov/chain.hpp"
@@ -40,13 +39,6 @@ std::vector<double> mm1k_distribution(double lambda, double mu, std::size_t k);
 /// the model for fixed-size packet transmission over a link.
 QueueMetrics md1(double lambda, double service_time);
 
-/// General birth–death chain on states 0..n-1 with per-state birth/death
-/// rates; returns the stationary distribution.  `birth[i]` is the rate
-/// i -> i+1 (birth[n-1] ignored), `death[i]` the rate i -> i-1 (death[0]
-/// ignored).
-std::vector<double> birth_death_steady_state(std::span<const double> birth,
-                                             std::span<const double> death);
-
 /// Two-stage producer–consumer pipeline with a finite buffer in between
 /// (e.g. VLD -> B3 -> IDCT in Fig.1(b)).  Producer blocks when the buffer is
 /// full; consumer idles when empty.  Exponential stage times.
@@ -65,6 +57,8 @@ struct ProducerConsumerModel {
     double producer_blocked = 0.0;  // fraction of time producer is blocked
     double consumer_idle = 0.0;     // fraction of time consumer is starved
   };
+  /// The occupancy chain is birth–death, so the default options solve it
+  /// by its product form in O(capacity).
   Result analyze(const SolveOptions& opts = {}) const;
 };
 

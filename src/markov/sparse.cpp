@@ -20,6 +20,29 @@ double l1_delta(std::span<const double> a, std::span<const double> b) {
   return exec::simd::kernels().sum_abs_diff(a.data(), b.data(), a.size());
 }
 
+// The iterative solvers' shared loop from the uniform start: sweep(pi, next)
+// computes the next iterate, which is kept until the L1 change per sweep
+// drops below the tolerance.
+template <typename Sweep>
+SolveResult iterate(std::size_t n, const SolveOptions& opts, Sweep sweep) {
+  SolveResult res;
+  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n, 0.0);
+  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+    sweep(pi, next);
+    const double delta = l1_delta(pi, next);
+    pi.swap(next);
+    res.iterations = it + 1;
+    if (delta < opts.tolerance) {
+      res.converged = true;
+      break;
+    }
+  }
+  normalize(pi);
+  res.distribution = std::move(pi);
+  return res;
+}
+
 }  // namespace
 
 CsrMatrix CsrMatrix::from_rows(const SparseRows& a) {
@@ -70,37 +93,22 @@ CsrMatrix CsrMatrix::transposed() const {
 SolveResult sparse_power_iteration(const CsrMatrix& p,
                                    const SolveOptions& opts) {
   const std::size_t n = p.rows();
-  SolveResult res;
-  if (n == 0) return res;
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n, 0.0);
-
+  if (n == 0) return {};
   // Gather form on the transpose: next[c] = sum_r pi[r] * P[r, c], one
   // exec::simd 8-lane reduction per column in ascending source-row order —
   // the iterate sequence is a function of the problem alone, bitwise
   // invariant to the ISA.
   const auto& k = exec::simd::kernels();
   const CsrMatrix pt = p.transposed();
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+  return iterate(n, opts, [&](auto& pi, auto& next) {
     k.spmv_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), pi.data(),
                 next.data(), 0, n);
-    const double delta = l1_delta(pi, next);
-    pi.swap(next);
-    res.iterations = it + 1;
-    if (delta < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-  }
-  normalize(pi);
-  res.distribution = std::move(pi);
-  return res;
+  });
 }
 
 SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
   const std::size_t n = p.rows();
-  SolveResult res;
-  if (n == 0) return res;
+  if (n == 0) return {};
   // Column sweeps need column access: work on the transpose, with the
   // diagonal split out (the sweep skips r == c and divides by 1 - p_cc).
   const CsrMatrix pt = p.transposed();
@@ -112,29 +120,16 @@ SolveResult sparse_gauss_seidel(const CsrMatrix& p, const SolveOptions& opts) {
       if (cols[i] == r) diag[r] = vals[i];
     }
   }
-  std::vector<double> pi(n, 1.0 / static_cast<double>(n));
-  std::vector<double> next(n, 0.0);
-
   // Serial Gauss–Seidel: `next` starts as a copy of pi and each column,
   // updated in ascending order, reads the already-updated values below it
   // and the prior-sweep values above it.
   const auto& k = exec::simd::kernels();
-  for (std::size_t it = 0; it < opts.max_iterations; ++it) {
+  return iterate(n, opts, [&](auto& pi, auto& next) {
     next = pi;
     k.gs_cols(pt.offsets_data(), pt.cols_data(), pt.vals_data(), diag.data(),
               pi.data(), next.data(), 0, n);
     normalize(next);
-    const double delta = l1_delta(pi, next);
-    pi.swap(next);
-    res.iterations = it + 1;
-    if (delta < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-  }
-  normalize(pi);
-  res.distribution = std::move(pi);
-  return res;
+  });
 }
 
 }  // namespace holms::markov

@@ -37,28 +37,28 @@ std::vector<double> fgn_hosking(std::size_t n, double h, sim::Rng& rng) {
   for (std::size_t k = 0; k < n; ++k) gamma[k] = fgn_autocovariance(h, k);
 
   // Hosking's recursion maintains the partial linear-prediction coefficients
-  // phi and the innovation variance v.
-  std::vector<double> phi;     // current AR coefficients
-  std::vector<double> phi_new;
+  // phi (phi[0..i-1) at step i) and the innovation variance v.  One pass per
+  // step updates phi and accumulates the conditional mean and the next
+  // reflection numerator, each in the ascending-j order of separate passes.
+  std::vector<double> phi(n), phi_new(n);
   double v = 1.0;
+  double num = n > 1 ? gamma[1] : 0.0;  // reflection numerator of step 1
   out.push_back(rng.normal(0.0, 1.0));
   for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t m = phi.size();  // == i - 1
-    // Reflection coefficient.
-    double num = gamma[i];
-    for (std::size_t j = 0; j < m; ++j) num -= phi[j] * gamma[i - 1 - j];
-    const double kappa = num / v;
-    phi_new.assign(m + 1, 0.0);
-    phi_new[m] = kappa;
-    for (std::size_t j = 0; j < m; ++j)
-      phi_new[j] = phi[j] - kappa * phi[m - 1 - j];
+    const std::size_t m = i - 1;
+    const double kappa = num / v;  // reflection coefficient
+    double mean = 0.0;
+    double num_next = i + 1 < n ? gamma[i + 1] : 0.0;
+    for (std::size_t j = 0; j <= m; ++j) {
+      const double c = j < m ? phi[j] - kappa * phi[m - 1 - j] : kappa;
+      phi_new[j] = c;
+      mean += c * out[i - 1 - j];
+      num_next -= c * gamma[i - j];
+    }
     phi.swap(phi_new);
+    num = num_next;
     v *= (1.0 - kappa * kappa);
     if (v < 1e-300) v = 1e-300;
-    // Conditional mean given history.
-    double mean = 0.0;
-    for (std::size_t j = 0; j < phi.size(); ++j)
-      mean += phi[j] * out[i - 1 - j];
     out.push_back(mean + std::sqrt(v) * rng.normal(0.0, 1.0));
   }
   return out;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -36,6 +37,15 @@ Dtmc two_state(double p, double q) {
   d.set(1, 0, q);
   d.set(1, 1, 1.0 - q);
   return d;
+}
+
+// Relative agreement, with a floor below which both values are underflow
+// noise.
+void expect_rel_near(double a, double b, double rel, std::size_t state) {
+  EXPECT_LE(std::abs(a - b),
+            rel * std::max(std::abs(a), std::abs(b)) +
+                std::numeric_limits<double>::min())
+      << "state " << state << ": " << a << " vs " << b;
 }
 
 class DtmcSolvers
@@ -336,6 +346,85 @@ TEST(BirthDeath, MatchesMm1kDistribution) {
   for (std::size_t i = 0; i <= k; ++i) EXPECT_NEAR(bd[i], ref[i], 1e-9);
 }
 
+// M/M/1/(n-1) occupancy chain with arrival rate rho, service rate 1.
+Ctmc mm1k_chain(double rho, std::size_t n) {
+  Ctmc c(n);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    c.set_rate(i, i + 1, rho);
+    c.set_rate(i + 1, i, 1.0);
+  }
+  return c;
+}
+
+TEST(BirthDeath, FiniteAndNormalizedAtEveryLoad) {
+  // Loads on both sides of 1 and chains long enough that the plain
+  // recurrence leaves the double range; the running term is rescaled.
+  for (const double rho : {0.5, 0.85, 1.0, 1.2}) {
+    for (const std::size_t n : {std::size_t{64}, std::size_t{4096}}) {
+      const std::vector<double> birth(n, rho), death(n, 1.0);
+      const auto pi = holms::markov::birth_death_steady_state(birth, death);
+      const auto ref = holms::markov::mm1k_distribution(rho, 1.0, n - 1);
+      ASSERT_EQ(pi.size(), n);
+      double sum = 0.0, ref_sum = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(std::isfinite(pi[i])) << rho << " " << n << " " << i;
+        expect_rel_near(pi[i], ref[i], 1e-12, i);
+        sum += pi[i];
+        ref_sum += ref[i];
+      }
+      EXPECT_NEAR(sum, 1.0, 1e-12) << rho << " " << n;
+      EXPECT_NEAR(ref_sum, 1.0, 1e-12) << rho << " " << n;
+      if (n == 64) {
+        const SolveResult power = mm1k_chain(rho, n).steady_state(
+            method(SteadyStateMethod::kPowerIteration));
+        ASSERT_TRUE(power.converged) << rho;
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_NEAR(pi[i], power.distribution[i], 1e-9) << rho << " " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BirthDeath, OverloadedLongChainMatchesPowerIteration) {
+  // rho = 1.2 over 4096 states: rho^4095 overflows a double, so the
+  // product form must rescale and mm1k_distribution must build from the top.
+  const double rho = 1.2;
+  const std::size_t n = 4096;
+  const SolveResult power =
+      mm1k_chain(rho, n).steady_state(method(SteadyStateMethod::kPowerIteration));
+  ASSERT_TRUE(power.converged);
+  const std::vector<double> birth(n, rho), death(n, 1.0);
+  const auto pi = holms::markov::birth_death_steady_state(birth, death);
+  const auto mm = holms::markov::mm1k_distribution(rho, 1.0, n - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(pi[i], power.distribution[i], 1e-9) << "state " << i;
+    EXPECT_NEAR(mm[i], power.distribution[i], 1e-9) << "state " << i;
+  }
+  EXPECT_NEAR(pi.back(), 1.0 / 6.0, 1e-12);  // producer blocked
+  EXPECT_NEAR(mm.back(), 1.0 / 6.0, 1e-12);
+}
+
+TEST(BirthDeath, MatchesDirectLuOnUnevenRates) {
+  for (const std::size_t n : {std::size_t{2}, std::size_t{17}, std::size_t{200}}) {
+    std::vector<double> birth(n), death(n);
+    Ctmc c(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      birth[i] = 1.0 + 0.5 * std::sin(static_cast<double>(i));
+      death[i] = 1.1 + 0.4 * std::cos(0.7 * static_cast<double>(i));
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      c.set_rate(i, i + 1, birth[i]);
+      c.set_rate(i + 1, i, death[i + 1]);
+    }
+    const auto pi = holms::markov::birth_death_steady_state(birth, death);
+    const auto lu = c.steady_state(method(SteadyStateMethod::kDirectLU));
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(pi[i], lu.distribution[i], 1e-12) << n << " " << i;
+    }
+  }
+}
+
 TEST(BirthDeath, RejectsZeroDeathRate) {
   std::vector<double> birth{1.0, 1.0}, death{1.0, 0.0};
   EXPECT_THROW(holms::markov::birth_death_steady_state(birth, death),
@@ -457,21 +546,127 @@ Dtmc banded_chain(std::size_t n, std::size_t band) {
   return d;
 }
 
+// Producer–consumer chain of the analyze_buffer sizing sweep.
+ProducerConsumerModel sweep_model(std::size_t capacity) {
+  ProducerConsumerModel m;
+  m.consumer_rate = 1000.0;
+  m.producer_rate = 0.85 * m.consumer_rate;
+  m.buffer_capacity = capacity;
+  return m;
+}
+
+std::uint64_t result_pin(const ProducerConsumerModel::Result& r) {
+  const double scalars[] = {r.mean_occupancy, r.throughput};
+  return fnv1a(scalars, fnv1a(r.occupancy_distribution));
+}
+
+// Power iteration keeps the pins it had as the default solver; the default
+// (kAuto) solves this birth–death chain by its product form, pinned
+// separately and checked against both power iteration and the closed-form
+// M/M/1/K distribution.
 TEST(GoldenPins, ProducerConsumerAnalyze) {
-  const std::pair<std::size_t, std::uint64_t> cases[] = {
-      {63, 0x735563e2afc1eecaULL},
-      {255, 0x400798ae376e0f44ULL},
-      {1023, 0xede3edb472a94f39ULL},
-      {4095, 0xfda3f8e2fe1bf693ULL}};
-  for (const auto& [capacity, pin] : cases) {
-    ProducerConsumerModel m;
-    m.consumer_rate = 1000.0;
-    m.producer_rate = 0.85 * m.consumer_rate;
-    m.buffer_capacity = capacity;
-    const auto r = m.analyze();
-    const double scalars[] = {r.mean_occupancy, r.throughput};
-    EXPECT_EQ(fnv1a(scalars, fnv1a(r.occupancy_distribution)), pin)
-        << "capacity " << capacity;
+  const struct {
+    std::size_t capacity;
+    std::uint64_t power, product_form;
+  } cases[] = {{63, 0x735563e2afc1eecaULL, 0x33b7681cbcd0c3f7ULL},
+               {255, 0x400798ae376e0f44ULL, 0x889e210f45d1658eULL},
+               {1023, 0xede3edb472a94f39ULL, 0xd8c2153de63d8929ULL},
+               {4095, 0xfda3f8e2fe1bf693ULL, 0x229c24dcadd7e252ULL}};
+  for (const auto& c : cases) {
+    const ProducerConsumerModel m = sweep_model(c.capacity);
+    const auto power = m.analyze(method(SteadyStateMethod::kPowerIteration));
+    const auto exact = m.analyze();
+    EXPECT_EQ(result_pin(power), c.power) << "capacity " << c.capacity;
+    EXPECT_EQ(result_pin(exact), c.product_form) << "capacity " << c.capacity;
+    const SolveResult ss = m.to_ctmc().steady_state();
+    EXPECT_TRUE(ss.converged);
+    EXPECT_EQ(ss.iterations, 0u);
+    EXPECT_EQ(ss.distribution, exact.occupancy_distribution);
+    const auto ref = holms::markov::mm1k_distribution(
+        m.producer_rate, m.consumer_rate, c.capacity);
+    ASSERT_EQ(exact.occupancy_distribution.size(), c.capacity + 1);
+    for (std::size_t s = 0; s <= c.capacity; ++s) {
+      EXPECT_NEAR(exact.occupancy_distribution[s],
+                  power.occupancy_distribution[s], 1e-9)
+          << "state " << s;
+      expect_rel_near(exact.occupancy_distribution[s], ref[s], 1e-12, s);
+    }
+  }
+}
+
+// Chains kAuto must not take for birth–death: it falls back to power
+// iteration, bit for bit.
+void expect_power_iteration_bits(const SolveResult& got,
+                                 const SolveResult& power) {
+  EXPECT_EQ(got.iterations, power.iterations);
+  EXPECT_EQ(got.converged, power.converged);
+  EXPECT_EQ(fnv1a(got.distribution), fnv1a(power.distribution));
+}
+
+TEST(SteadyStateAuto, NonBirthDeathChainsFallBackToPowerIteration) {
+  const SolveOptions power = method(SteadyStateMethod::kPowerIteration);
+  {  // band 4: entries two or more states off the diagonal
+    const Dtmc d = banded_chain(300, 4);
+    const SolveResult r = d.steady_state();
+    EXPECT_GT(r.iterations, 0u);
+    expect_power_iteration_bits(r, d.steady_state(power));
+  }
+  {  // tridiagonal, but state 20 cannot step down
+    const std::size_t n = 50;
+    Dtmc d(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double down = i > 0 && i != 20 ? 0.3 : 0.0;
+      const double up = i + 1 < n ? 0.4 : 0.0;
+      if (down > 0.0) d.set(i, i - 1, down);
+      if (up > 0.0) d.set(i, i + 1, up);
+      d.set(i, i, 1.0 - up - down);
+    }
+    const SolveResult r = d.steady_state();
+    EXPECT_GT(r.iterations, 0u);
+    expect_power_iteration_bits(r, d.steady_state(power));
+  }
+  {  // GoldenPins.CtmcTransient's chain: i -> i+3 jumps
+    const std::size_t n = 40;
+    Ctmc c(n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      c.set_rate(i, i + 1, 3.0 + 0.1 * static_cast<double>(i % 5));
+      c.set_rate(i + 1, i, 4.0);
+      if (i + 3 < n) c.set_rate(i, i + 3, 0.25);
+    }
+    const SolveResult r = c.steady_state();
+    EXPECT_GT(r.iterations, 0u);
+    expect_power_iteration_bits(r, c.steady_state(power));
+  }
+}
+
+TEST(SteadyStateAuto, PeriodicTwoStateDtmcSolves) {
+  // Period 2: power iteration oscillates; the product form does not care.
+  Dtmc d(2);
+  d.set(0, 1, 1.0);
+  d.set(1, 0, 1.0);
+  const SolveResult r = d.steady_state();
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_EQ(r.distribution, (std::vector<double>{0.5, 0.5}));
+}
+
+TEST(SteadyStateAuto, DtmcBirthDeathMatchesDirectLu) {
+  // Lazy walk with state-dependent steps: the product form reads P's
+  // off-diagonals, whatever the self-loops.
+  const std::size_t n = 120;
+  Dtmc d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double up = i + 1 < n ? 0.2 + 0.002 * static_cast<double>(i) : 0.0;
+    const double down = i > 0 ? 0.35 : 0.0;
+    if (up > 0.0) d.set(i, i + 1, up);
+    if (down > 0.0) d.set(i, i - 1, down);
+    d.set(i, i, 1.0 - up - down);
+  }
+  const SolveResult r = d.steady_state();
+  const SolveResult lu = d.steady_state(method(SteadyStateMethod::kDirectLU));
+  EXPECT_EQ(r.iterations, 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(r.distribution[i], lu.distribution[i], 1e-10) << "state " << i;
   }
 }
 
